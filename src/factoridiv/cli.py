@@ -108,6 +108,25 @@ def _poly_by_degree(polys, degree: int) -> IntPoly:
     raise UsageError(f"need a factor of degree {degree}")
 
 
+def _factor_budget(args) -> int:
+    """The factoring budget: --budget, else FACTORIDIV_BUDGET, else the
+    library default."""
+    if getattr(args, "budget", None) is not None:
+        return args.budget
+    env_budget = os.environ.get("FACTORIDIV_BUDGET")
+    if not env_budget:
+        return DEFAULT_FACTOR_BUDGET
+    try:
+        budget = int(env_budget)
+    except ValueError:
+        raise UsageError(
+            f"FACTORIDIV_BUDGET must be an integer, got {env_budget!r}"
+        ) from None
+    if budget < 0:
+        raise UsageError("FACTORIDIV_BUDGET must be non-negative")
+    return budget
+
+
 def _cmd_construct(args, budget: int) -> int:
     polys = [IntPoly.from_string(p) for p in (args.poly or [])]
     ratio = Fraction(args.ratio)
@@ -194,11 +213,14 @@ def _cmd_verify(args, budget: int) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args, budget: int) -> int:
+def _cmd_scan(args) -> int:
     poly = IntPoly.from_string(args.poly)
     theta = Fraction(args.theta)
+    # the library default resolves every value; FACTORIDIV_BUDGET is the
+    # factoring budget of construct and verify, not a sieve cap
+    cap = {} if args.budget is None else {"division_budget": args.budget}
     records, summary = scan_parallel(
-        poly, args.start, args.stop, theta, args.jobs, division_budget=budget
+        poly, args.start, args.stop, theta, args.jobs, **cap
     )
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -274,8 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     sca.add_argument("--from", dest="start", type=int, required=True)
     sca.add_argument("--to", dest="stop", type=int, required=True)
     sca.add_argument("--theta", required=True, help="exponent as j/k")
-    sca.add_argument("--jobs", type=int, default=1)
-    sca.add_argument("--budget", type=int, default=None)
+    sca.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, at most the CPU count")
+    sca.add_argument("--budget", type=int, default=None,
+                     help="cap on the sieve primes per value; values that "
+                     "need more are counted unresolved (default: no cap)")
     sca.add_argument("--out", help="output file (default stdout)")
 
     tab = sub.add_parser("table", help="print polynomial tables")
@@ -290,17 +315,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_budget = os.environ.get("FACTORIDIV_BUDGET")
-    budget = int(env_budget) if env_budget else DEFAULT_FACTOR_BUDGET
-    if getattr(args, "budget", None):
-        budget = args.budget
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise UsageError("--budget must be non-negative")
         if args.command == "construct":
-            return _cmd_construct(args, budget)
+            return _cmd_construct(args, _factor_budget(args))
         if args.command == "verify":
-            return _cmd_verify(args, budget)
+            return _cmd_verify(args, _factor_budget(args))
         if args.command == "scan":
-            return _cmd_scan(args, budget)
+            return _cmd_scan(args)
         return _cmd_table(args)
     except UsageError as exc:
         print(f"factoridiv: error: {exc}", file=sys.stderr)

@@ -2,10 +2,30 @@
 
 A value f(n) is a hit at exponent theta = j/k when its largest prime
 factor P+ satisfies (P+)**k < n**j (exact integer comparison, never
-floating point).  The scanner trial-divides by all primes up to the
-integer k-th root of n**j; if a cofactor above 1 survives, every one of
-its prime factors exceeds that root, so the value is certainly not a
-hit.  This early abort never misclassifies.
+floating point).
+
+The scanner is a root sieve, as in the quadratic sieve (Pomerance 1982;
+Crandall & Pomerance, Prime Numbers, sections 3.2 and 6.1).  For each
+prime p <= t_cap = floor(stop**(j/k)) it finds once the residues r with
+f(r) = 0 (mod p), reading them off the first p values of the range.
+Then it walks n = r (mod p) through contiguous windows of _WINDOW
+values, divides p out of f(n) completely at each step, and records p as
+the current P+; primes run in ascending order, so the last one recorded
+is the largest.  After the sieve a cofactor of 1 means every prime factor
+is known, and the value is a hit iff P+**k < n**j.  A cofactor above 1
+has a prime factor above t_cap >= t_n = floor(n**(j/k)), so P+**k > n**j
+and the value is certainly not a hit.  No value is misclassified, and no
+per-value root is taken.
+
+A value with |f(n)| <= 1, f(n) = 0 included, has no prime factors at all:
+it is a vacuous hit with P+ = 1 and exponent 0.0000, and it never enters
+the division loop (0 would never divide out).
+
+division_budget caps the sieve primes per value: f(n) is unresolved iff
+pi(t_n) > division_budget, where pi counts the primes.  Since t_n grows
+with n, the unresolved values are a suffix of the range; the scanner
+finds where it starts and never sieves it, though vacuous values in it
+are still hits.  A budget of at least pi(t_cap) resolves every value.
 """
 
 from __future__ import annotations
@@ -27,6 +47,10 @@ __all__ = [
     "record_json",
     "certificate_smoothness",
 ]
+
+# values per sieve window: small enough to keep memory flat, large enough
+# that the per-window cost of walking every root stays small
+_WINDOW = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,6 +88,61 @@ def _integer_kth_root(x: int, k: int) -> int:
     return r
 
 
+def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
+    """f(n) for n in [lo, hi], by one Horner pass per coefficient."""
+    ns = range(lo, hi + 1)
+    *rest, lead = poly.coeffs or (0,)
+    values = [lead] * len(ns)
+    for c in reversed(rest):
+        values = [v * n + c for v, n in zip(values, ns)]
+    return values
+
+
+def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
+    """(p, residues r with f(r) = 0 mod p) for each of the primes that
+    divides some f(n) with n in [start, stop]."""
+    # p consecutive values of n meet every residue class mod p once; a
+    # range shorter than p meets only the classes of its own values
+    last = min(stop, start + primes[-1] - 1) if primes else start - 1
+    head = _values(poly, start, last)
+    roots = []
+    for p in primes:
+        residues = [(start + i) % p
+                    for i in range(min(p, len(head))) if not head[i] % p]
+        if residues:
+            roots.append((p, residues))
+    return roots
+
+
+def _sieve_window(poly: IntPoly, lo: int, hi: int, roots, j: int, k: int):
+    """The hits among n in [lo, hi], in order, as ScanRecords."""
+    values = _values(poly, lo, hi)
+    # f(n) = 0 would never divide out; as 1 it takes no division, and it
+    # is a vacuous hit whatever the sieve records for it
+    rem = [abs(v) or 1 for v in values]
+    size = len(rem)
+    top = [1] * size
+    for p, residues in roots:
+        for r in residues:
+            for i in range((r - lo) % p, size, p):
+                v = rem[i]
+                while not v % p:
+                    v //= p
+                rem[i] = v
+                top[i] = p
+    records = []
+    # a cofactor above 1 has a prime factor above t_cap: certain non-hit
+    for i in [i for i, v in enumerate(rem) if v == 1]:
+        n, value = lo + i, values[i]
+        if -1 <= value <= 1:
+            records.append(ScanRecord(n, value, 1, "0.0000"))
+        elif top[i] ** k < n**j:
+            records.append(
+                ScanRecord(n, value, top[i], str(decimal_log_ratio(top[i], n)))
+            )
+    return records
+
+
 def scan_range(
     poly: IntPoly,
     start: int,
@@ -74,8 +153,11 @@ def scan_range(
 ) -> tuple[list[ScanRecord], ScanSummary]:
     """Scan n in [start, stop] and record every hit.
 
-    division_budget caps trial divisions per value; a value that cannot
-    be resolved within it is counted unresolved and never recorded."""
+    division_budget caps the sieve primes per value: a value f(n) with
+    pi(floor(n**theta)) > division_budget is counted unresolved and never
+    recorded, unless |f(n)| <= 1 (a vacuous hit).  Those values form a
+    suffix of the range.  With division_budget >= pi(floor(stop**theta))
+    every value is resolved."""
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be strictly between 0 and 1")
@@ -83,56 +165,32 @@ def scan_range(
         raise ValueError("scan starts at n >= 2")
     if stop < start:
         raise ValueError("empty range")
+    if division_budget < 0:
+        raise ValueError("division_budget must be non-negative")
     j, k = theta.numerator, theta.denominator
-    t_cap = _integer_kth_root(stop**j, k)
-    primes = sieve_primes(t_cap)
+    primes = sieve_primes(_integer_kth_root(stop**j, k))
+    cut = stop + 1  # the first unresolved n
+    if division_budget < len(primes):
+        # pi(t_n) > budget iff t_n >= q iff n**j >= q**k, q the next
+        # prime; below cut every t_n < q, so the first budget primes
+        # cover every prime <= t_n there
+        q = primes[division_budget]
+        cut = max(start, _integer_kth_root(q**k - 1, j) + 1)
+        del primes[division_budget:]
     records: list[ScanRecord] = []
-    examined = 0
+    roots = _prime_roots(poly, start, cut - 1, primes)
+    for lo in range(start, cut, _WINDOW):
+        records += _sieve_window(poly, lo, min(lo + _WINDOW, cut) - 1, roots, j, k)
     unresolved = 0
-    for n in range(start, stop + 1):
-        examined += 1
+    for n in range(cut, stop + 1):
         value = poly.evaluate(n)
-        rem = abs(value)
-        n_pow = n**j
-        if rem <= 1:
-            # no prime factors at all: vacuous hit
+        if -1 <= value <= 1:
             records.append(ScanRecord(n, value, 1, "0.0000"))
-            continue
-        t_n = _integer_kth_root(n_pow, k)
-        p_plus = 1
-        budget = division_budget
-        aborted = False
-        for p in primes:
-            if p > t_n or rem == 1:
-                break
-            budget -= 1
-            if budget < 0:
-                aborted = True
-                break
-            if rem % p == 0:
-                p_plus = p
-                while rem % p == 0:
-                    rem //= p
-            elif p * p > rem:
-                # remaining cofactor is prime; classify it directly
-                break
-        if aborted:
+        else:
             unresolved += 1
-            continue
-        if rem > 1:
-            if rem <= t_n:
-                # the prime cofactor is still below the threshold root
-                p_plus = max(p_plus, rem)
-                rem = 1
-            else:
-                continue  # some prime factor exceeds t_n: certain non-hit
-        if p_plus**k < n_pow:
-            records.append(
-                ScanRecord(n, value, p_plus, str(decimal_log_ratio(p_plus, n)))
-            )
     exps = [Decimal(rec.exponent) for rec in records]
     summary = ScanSummary(
-        examined=examined,
+        examined=stop - start + 1,
         hits=len(records),
         unresolved=unresolved,
         min_exponent=str(min(exps)) if exps else None,
@@ -155,6 +213,12 @@ def _scan_chunk(args):
     )
 
 
+def _clamp_jobs(jobs: int, cpus: int | None, size: int) -> int:
+    """Worker processes for a scan of size values: no more than asked for,
+    than there are CPUs (cpus, None when unknown) or than there are values."""
+    return max(1, min(jobs, cpus or 1, size))
+
+
 def scan_parallel(
     poly: IntPoly,
     start: int,
@@ -166,23 +230,27 @@ def scan_parallel(
 ) -> tuple[list[ScanRecord], ScanSummary]:
     """Same result as scan_range, computed in contiguous chunks.
 
-    Chunks partition [start, stop] in order, so the merged record list is
+    jobs is clamped to the CPU count and to the range size.  Chunks
+    partition [start, stop] in order, so the merged record list is
     identical to the sequential one."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    import os
+
     theta = Fraction(theta)
-    if jobs == 1 or stop - start + 1 < jobs:
+    total = stop - start + 1
+    jobs = _clamp_jobs(jobs, os.cpu_count(), total)
+    if jobs == 1:
         return scan_range(poly, start, stop, theta,
                           division_budget=division_budget)
     from concurrent.futures import ProcessPoolExecutor
 
-    total = stop - start + 1
+    # the cost per value is flat, so equal chunks are balanced
     bounds = [start + total * i // jobs for i in range(jobs)] + [stop + 1]
     tasks = [
         (tuple(poly.coeffs), bounds[i], bounds[i + 1] - 1,
          theta.numerator, theta.denominator, division_budget)
         for i in range(jobs)
-        if bounds[i] <= bounds[i + 1] - 1
     ]
     records: list[ScanRecord] = []
     examined = hits = unresolved = 0

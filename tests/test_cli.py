@@ -224,3 +224,40 @@ def test_budget_env_and_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FACTORIDIV_BUDGET", "1000000")
     code, outtext, _ = run(["verify", path, "--budget", "1"], capsys)
     assert code == 3 and "UNVERIFIABLE" in outtext
+
+
+def test_budget_parsing(tmp_path, capsys, monkeypatch):
+    path = write_certs(tmp_path / "dup.json", budget_probe_entries())
+    # --budget 0 is honoured, not dropped: no rho iteration is allowed
+    code, outtext, _ = run(["verify", path, "--budget", "0"], capsys)
+    assert code == 3 and "UNVERIFIABLE" in outtext
+    code, _, err = run(["verify", path, "--budget", "-1"], capsys)
+    assert code == 64 and "factoridiv: error:" in err
+    code, _, err = run(
+        ["scan", "--poly", "1,0,1", "--from", "2", "--to", "9",
+         "--theta", "1/2", "--budget", "-5"],
+        capsys,
+    )
+    assert code == 64 and "factoridiv: error:" in err
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("FACTORIDIV_BUDGET", bad)
+        code, _, err = run(["verify", path], capsys)
+        assert code == 64
+        assert "factoridiv: error:" in err and "FACTORIDIV_BUDGET" in err
+
+
+def test_scan_budget_and_jobs(capsys, monkeypatch):
+    scan = ["scan", "--poly", "1,0,1", "--from", "230", "--to", "250",
+            "--theta", "14/25"]
+    # FACTORIDIV_BUDGET is the factoring budget; it does not cap the sieve
+    monkeypatch.setenv("FACTORIDIV_BUDGET", "1")
+    code, outtext, err = run(scan, capsys)
+    assert code == 0 and json.loads(err)["unresolved"] == 0
+    assert '"n":"239"' in outtext
+    # --budget caps the sieve primes per value
+    code, outtext, err = run(scan + ["--budget", "0"], capsys)
+    assert code == 0 and outtext == ""
+    assert json.loads(err)["unresolved"] == 21
+    for jobs in ("0", "-2"):
+        code, _, err = run(scan + ["--jobs", jobs], capsys)
+        assert code == 64 and "factoridiv: error:" in err

@@ -4,11 +4,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factoridiv.construct import construct_quadratic
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import decimal_log_ratio, sieve_primes
 from factoridiv.scan import (
+    ScanRecord,
+    _clamp_jobs,
     certificate_smoothness,
     record_json,
     scan_parallel,
@@ -117,3 +121,122 @@ def test_record_json_format():
 def test_certificate_smoothness():
     cert = construct_quadratic(X2P1, 1)[0]
     assert certificate_smoothness(cert) == decimal_log_ratio(17, 21)
+
+
+# trial division by these primes factors any value below 9973**2
+ORACLE_PRIMES = sieve_primes(10_000)
+THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(14, 25), Fraction(2, 3),
+          Fraction(3, 4))
+
+
+def largest_prime_factor(m):
+    """P+ of m >= 2 by trial division up to sqrt(m)."""
+    p_plus = 1
+    for p in ORACLE_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            p_plus, m = p, m // p
+    else:
+        raise AssertionError("value too large for the oracle")
+    return max(p_plus, m)
+
+
+def oracle_scan(poly, start, stop, theta):
+    """Full-factorization reference records for any polynomial."""
+    j, k = theta.numerator, theta.denominator
+    records = []
+    for n in range(start, stop + 1):
+        value = poly.evaluate(n)
+        if abs(value) <= 1:
+            records.append(ScanRecord(n, value, 1, "0.0000"))
+            continue
+        p_plus = largest_prime_factor(abs(value))
+        if p_plus**k < n**j:
+            records.append(
+                ScanRecord(n, value, p_plus, str(decimal_log_ratio(p_plus, n)))
+            )
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+    start=st.integers(2, 30),
+    length=st.integers(0, 15),
+    theta=st.sampled_from(THETAS),
+)
+@example(coeffs=[6, 6, 0, 6], start=2, length=15, theta=Fraction(2, 3))
+@example(coeffs=[-1, 0, 0, 0, 1], start=2, length=15, theta=Fraction(3, 4))
+@example(coeffs=[0, -5, 1], start=2, length=15, theta=Fraction(1, 2))
+@example(coeffs=[-4, 1], start=2, length=6, theta=Fraction(1, 3))
+@example(coeffs=[-50, 0, 1], start=2, length=15, theta=Fraction(14, 25))
+@example(coeffs=[-20, 0, 0, 0, -20], start=30, length=15, theta=Fraction(3, 4))
+@example(coeffs=[0], start=2, length=5, theta=Fraction(1, 2))
+@example(coeffs=[7], start=2, length=15, theta=Fraction(1, 2))
+def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
+    # degree 0-4, content > 1, reducible, zero and negative values
+    poly = IntPoly(coeffs)
+    stop = start + length
+    records, summary = scan_range(poly, start, stop, theta)
+    assert records == oracle_scan(poly, start, stop, theta)
+    assert summary.examined == length + 1
+    assert summary.hits == len(records)
+    assert summary.unresolved == 0
+    exps = [Decimal(r.exponent) for r in records]
+    assert summary.min_exponent == (str(min(exps)) if exps else None)
+
+
+def test_scan_quartic_across_windows():
+    x4m1 = IntPoly((-1, 0, 0, 0, 1))
+    theta = Fraction(3, 4)
+    # 8999 values span three sieve windows
+    records, summary = scan_range(x4m1, 2, 9_000, theta)
+    assert records == oracle_scan(x4m1, 2, 9_000, theta)
+    assert summary.unresolved == 0
+    par_records, par_summary = scan_parallel(x4m1, 2, 9_000, theta, 2)
+    assert [record_json(r) for r in par_records] == [
+        record_json(r) for r in records
+    ]
+    assert par_summary == summary
+
+
+def test_scan_budget_suffix():
+    t_cap = 1
+    while (t_cap + 1) ** 25 <= 3_000**14:
+        t_cap += 1
+    primes = sieve_primes(t_cap)
+    default = scan_range(X2P1, 100, 3_000, THETA)
+    # a budget of pi(t_cap) primes resolves every value
+    exact = scan_range(X2P1, 100, 3_000, THETA, division_budget=len(primes))
+    assert exact == default and exact[1].unresolved == 0
+    # one prime fewer: unresolved are exactly the n with t_n >= the last
+    # prime, a suffix of the range; the values before it are unchanged
+    records, summary = scan_range(
+        X2P1, 100, 3_000, THETA, division_budget=len(primes) - 1
+    )
+    suffix = [n for n in range(100, 3_001) if n**14 >= primes[-1] ** 25]
+    assert suffix == list(range(suffix[0], 3_001))
+    assert summary.unresolved == len(suffix)
+    assert records == [r for r in default[0] if r.n < suffix[0]]
+    with pytest.raises(ValueError):
+        scan_range(X2P1, 2, 10, THETA, division_budget=-1)
+
+
+def test_scan_budget_keeps_vacuous_hits():
+    # budget 0 resolves only n = 2, 3 (t_n = 1, no prime to try); of the
+    # rest, the vacuous values n = 4, 5 are still hits
+    records, summary = scan_range(IntPoly((-4, 1)), 2, 8, THETA,
+                                  division_budget=0)
+    assert [r.n for r in records] == [3, 4, 5]
+    assert summary.unresolved == 3
+
+
+def test_clamp_jobs():
+    assert _clamp_jobs(8, 2, 100) == 2
+    assert _clamp_jobs(2, 16, 100) == 2
+    assert _clamp_jobs(10**9, 64, 3) == 3
+    assert _clamp_jobs(4, None, 100) == 1
+    assert _clamp_jobs(3, 8, 1) == 1
+    # a huge request starts no more workers than there are values
+    assert scan_parallel(X2P1, 2, 3, THETA, 10**9) == scan_range(X2P1, 2, 3, THETA)
