@@ -28,7 +28,7 @@ from .construct import (
 from .intpoly import IntPoly
 from .numtheory import DEFAULT_FACTOR_BUDGET
 from .scan import record_json, scan_parallel
-from .specialpoly import chebyshev_t, cyclotomic, psi
+from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
 
 EXIT_OK = 0
@@ -250,7 +250,7 @@ def _cmd_table(args) -> int:
     elif args.kind == "psi":
         rows = [(i, psi(i)) for i in range(3, args.max + 1)]
     else:
-        rows = [(i, chebyshev_t(i)) for i in range(0, args.max + 1)]
+        rows = zip(range(args.max + 1), chebyshev_terms())
     for i, poly in rows:
         print(f"{i}\t{poly.to_string()}")
     return EXIT_OK

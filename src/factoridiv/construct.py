@@ -38,6 +38,7 @@ from .intpoly import IntPoly, fraction_content_split
 from .numtheory import (
     BudgetExceededError,
     MertensSelection,
+    divisors,
     euler_phi,
     find_prime_divisor_of_values,
     is_perfect_square,
@@ -287,16 +288,6 @@ def construct_quadratic(
 # every candidate that reaches the caller has been verified that way.
 
 
-def _fraction_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def _tau_grid(denominators, max_numerator) -> tuple[Fraction, ...]:
     vals = {
         Fraction(nu, de)
@@ -311,19 +302,6 @@ def _tau_grid(denominators, max_numerator) -> tuple[Fraction, ...]:
 
 _TAUS_TOP = _tau_grid((1, 2, 4, 8), 16)
 _TAUS_WIDE = _tau_grid((1, 2, 3, 4, 8, 16), 48)
-
-
-def _divisors_ascending(n: int) -> list[int]:
-    small = []
-    large = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
 
 
 def _lin_mul(p, q):
@@ -366,36 +344,80 @@ class _EngineHit:
     content: int
 
 
+# The screen over tau runs in integers, since almost every tau fails the
+# square test.  With A = lead(f), P2, P1, P0 = -b, -c, -d (so p_i = P_i/A),
+# Q2 = P2**2 + A P1, Q1 = P2 P1 + A P0, Q0 = P2 P0 (so q_i = Q_i/A**2) and
+# tau = nu/delta, clearing denominators in
+#
+#   e0 = -(q2 + 2 tau p2 + tau**2) / 2
+#   d1 = q1 + 2 tau p1 + 2 tau e0
+#   d0 = q0 + 2 tau p0 + e0**2
+#
+# gives e0 = E / (2 A**2 delta**2), d1 = N1 / (A**3 delta**3) and
+# d0 + 2 kappa d1 = N / (2 A**2 delta**2)**2 with
+#
+#   E  = -(Q2 delta**2 + 2 nu delta A P2 + nu**2 A**2)
+#   N1 = Q1 A delta**3 + 2 nu P1 A**2 delta**2 + nu A E
+#   N  = 4 A**2 delta**4 Q0 + 8 nu P0 A**3 delta**3 + E**2
+#        + 8 kappa A delta N1.
+#
+# The denominator of the last is a square, so d0 + 2 kappa d1 is a rational
+# square exactly when N >= 0 and isqrt(N)**2 == N, and then
+# r = isqrt(N) / (2 A**2 delta**2).  Fractions are built only for the tau
+# that pass.
+
+
+def _tau_screen(f: IntPoly, kappa: int, taus):
+    """Yield (tau, e0, d1, r) for each tau with d1 != 0 and
+    d0 + 2 kappa d1 = r**2 a rational square; lead(f) must be positive."""
+    A = f.coefficient(3)
+    P2, P1, P0 = -f.coefficient(2), -f.coefficient(1), -f.coefficient(0)
+    Q2, Q1, Q0 = P2 * P2 + A * P1, P2 * P1 + A * P0, P2 * P0
+    A2 = A * A
+    A3 = A2 * A
+    for tau in taus:
+        nu, de = tau.numerator, tau.denominator
+        de2 = de * de
+        E = -(Q2 * de2 + 2 * nu * de * A * P2 + nu * nu * A2)
+        N1 = Q1 * A * de2 * de + 2 * nu * P1 * A2 * de2 + nu * A * E
+        if N1 == 0:
+            continue
+        N = (4 * A2 * de2 * de2 * Q0 + 8 * nu * P0 * A3 * de2 * de + E * E
+             + 8 * kappa * A * de * N1)
+        if N < 0:
+            continue
+        root = math.isqrt(N)
+        if root * root != N:
+            continue
+        yield (
+            tau,
+            Fraction(E, 2 * A2 * de2),
+            Fraction(N1, A3 * de2 * de),
+            Fraction(root, 2 * A2 * de2),
+        )
+
+
 def _schinzel_candidates(f: IntPoly, kappa: int, taus):
     """Yield verified splits of f(g(x)) in deterministic grid order."""
-    a = Fraction(f.coefficient(3))
-    b = Fraction(f.coefficient(2))
-    c = Fraction(f.coefficient(1))
-    d = Fraction(f.coefficient(0))
+    a = f.coefficient(3)
     if a <= 0:
         raise ValueError("need a positive leading coefficient")
-    p2, p1, p0 = -b / a, -c / a, -d / a
+    p2, p1, p0 = (Fraction(-f.coefficient(i), a) for i in (2, 1, 0))
     q2, q1, q0 = p2 * p2 + p1, p2 * p1 + p0, p2 * p0
-    for tau in taus:
-        e0 = -(q2 + 2 * tau * p2 + tau * tau) / 2
-        d1 = q1 + 2 * tau * p1 + 2 * tau * e0
-        if d1 == 0:
-            continue
-        d0 = q0 + 2 * tau * p0 + e0 * e0
-        r = _fraction_sqrt(d0 + 2 * kappa * d1)
-        if r is None:
-            continue
+    for tau, e0, d1, r in _tau_screen(f, kappa, taus):
         den = d1.denominator * r.denominator // math.gcd(
             d1.denominator, r.denominator
         )
         T = None
-        for t in _divisors_ascending(2 * den):
+        for t in divisors(2 * den):
             if (Fraction(t * t) * d1 / 4).denominator == 1 and (
                 t * r
             ).denominator == 1:
                 T = Fraction(t)
                 break
-        assert T is not None, "2*lcm of denominators always qualifies"
+        if T is None:
+            # t = 2 * lcm of the denominators always qualifies
+            raise ArithmeticError(f"no integral scale T at tau = {tau}")
         g2 = int(T * T * d1 / 4)
         if g2 == 0:
             continue
@@ -1008,8 +1030,9 @@ def construct_binomial_power(
         )
         n = s**n_value
         base = s**m
-        raw = [cyclotomic(d).evaluate(base) for d in _divisors_ascending(n_value)]
-        assert _product(raw) == poly.evaluate(n)
+        raw = [cyclotomic(d).evaluate(base) for d in divisors(n_value)]
+        if _product(raw) != poly.evaluate(n):
+            raise ArithmeticError("cyclotomic values must multiply to P(n)")
         merged = _merge_duplicates(raw, n)
         if merged is None:
             factors, mode = raw, "legendre"
@@ -1071,9 +1094,10 @@ def construct_cyclotomic(
             n = s**n_value
             raw = [
                 cyclotomic(m * d).evaluate(s)
-                for d in _divisors_ascending(n_value)
+                for d in divisors(n_value)
             ]
-            assert _product(raw) == poly.evaluate(n)
+            if _product(raw) != poly.evaluate(n):
+                raise ArithmeticError("cyclotomic values must multiply to P(n)")
             merged = _merge_duplicates(raw, n)
             if merged is not None and _distinct_ok(merged, n):
                 certs.append(
@@ -1154,9 +1178,11 @@ def construct_chebyshev(
                     break
             else:
                 raise AssertionError("an even psi value must exist")
-            assert _product(vals) == chebyshev_t_value(m * n_value, s)
+            if _product(vals) != chebyshev_t_value(m * n_value, s):
+                raise ArithmeticError("psi values must multiply to T_mN(s)")
             all_vals.extend(vals)
-        assert _product(all_vals) == poly.evaluate(n)
+        if _product(all_vals) != poly.evaluate(n):
+            raise ArithmeticError("psi values must multiply to P(n)")
         merged = _merge_duplicates(all_vals, n)
         if merged is None or not _distinct_ok(merged, n):
             raise ConstructionBudgetError(

@@ -251,10 +251,21 @@ class IntPoly:
         Returns the quotient IntPoly on success.  Otherwise returns a
         DivisionReport: kind "not-a-factor" when a nonzero remainder is
         left, kind "rational-quotient" when the division is exact but
-        needs rational coefficients.
+        needs rational coefficients.  A divisor with leading coefficient
+        +-1 is divided in plain integers (its quotient is always integral);
+        any other divisor goes through Fraction long division.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if divisor.leading in (1, -1):
+            quot, rem = self._long_divide_unit(divisor)
+            if rem:
+                return DivisionReport(
+                    "not-a-factor",
+                    tuple(map(Fraction, quot)),
+                    tuple(map(Fraction, rem)),
+                )
+            return IntPoly(quot)
         quot, rem = self._long_divide(divisor)
         if any(rem):
             return DivisionReport("not-a-factor", tuple(quot), tuple(rem))
@@ -280,6 +291,24 @@ class IntPoly:
             for i, dc in enumerate(den):
                 num[shift + i] -= q * dc
             num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+        return quot, num
+
+    def _long_divide_unit(self, divisor: "IntPoly"):
+        # leading coefficient u = +-1, so 1/u = u and each quotient
+        # coefficient is top * u; only the nonzero lower terms are touched
+        num = list(self.coeffs)
+        dd = len(divisor.coeffs) - 1
+        lead = divisor.coeffs[-1]
+        lower = [(i, c) for i, c in enumerate(divisor.coeffs[:-1]) if c]
+        quot = [0] * max(len(num) - dd, 0)
+        for shift in range(len(quot) - 1, -1, -1):
+            q = num.pop() * lead
+            if q:
+                quot[shift] = q
+                for i, c in lower:
+                    num[shift + i] -= q * c
         while num and num[-1] == 0:
             num.pop()
         return quot, num

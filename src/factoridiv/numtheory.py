@@ -29,6 +29,7 @@ __all__ = [
     "factorize",
     "largest_prime_factor",
     "euler_phi",
+    "divisors",
     "mertens_select",
     "find_prime_divisor_of_values",
     "decimal_log_ratio",
@@ -287,6 +288,22 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n).factors:
         out = out // p * (p - 1)
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n in ascending order, by trial to sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    small = []
+    large = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)

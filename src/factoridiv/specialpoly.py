@@ -1,8 +1,10 @@
 """Cyclotomic polynomials, their real halves, and Chebyshev polynomials.
 
 cyclotomic(n) divides x**n - 1 by the product of the lower cyclotomics,
-memoized.  Two classical identities keep the recursion on squarefree odd
-kernels so large even indices stay cheap:
+memoized.  That product is monic, so the division runs on plain integers
+(IntPoly.exact_divide never leaves Z for a divisor led by +-1).  Two
+classical identities keep the recursion on squarefree odd kernels so
+large even indices stay cheap:
 
     Phi_{2m}(x)  = Phi_m(-x)        for odd m > 1
     Phi_{pm}(x)  = Phi_m(x**p)      when the prime p already divides m
@@ -11,20 +13,26 @@ psi(n) is the integer polynomial of degree phi(n)/2 with
 psi(y + 1/y) * y**(phi(n)/2) = Phi_n(y); equivalently the minimal
 polynomial of 2*cos(2*pi/n) once n >= 3.
 
-chebyshev_t(n) is the first-kind Chebyshev polynomial under
-T_{n+1} = 2x T_n - T_{n-1}.
+chebyshev_terms() generates the first-kind Chebyshev polynomials
+T_0, T_1, ... under T_{n+1} = 2x T_n - T_{n-1}, holding only the last
+two; chebyshev_t(n) is its n-th term and a table is one pass over it.
+
+The identity checks here raise ArithmeticError, so they also run under
+python -O.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from .intpoly import IntPoly
-from .numtheory import euler_phi, factorize
+from .numtheory import divisors, factorize
 
 __all__ = [
     "cyclotomic",
     "psi",
+    "chebyshev_terms",
     "chebyshev_t",
     "chebyshev_t_value",
     "chebyshev_factor_values",
@@ -38,12 +46,12 @@ def _cyclotomic_base(n: int) -> IntPoly:
     if n == 1:
         return IntPoly((-1, 1))
     denom = IntPoly((1,))
-    for d in range(1, n):
-        if n % d == 0:
-            denom = denom.multiply(cyclotomic(d))
+    for d in divisors(n)[:-1]:
+        denom = denom.multiply(cyclotomic(d))
     xn1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
     q = xn1.exact_divide(denom)
-    assert isinstance(q, IntPoly), f"cyclotomic recursion broke at {n}"
+    if not isinstance(q, IntPoly):
+        raise ArithmeticError(f"cyclotomic recursion broke at {n}")
     return q
 
 
@@ -86,9 +94,10 @@ def psi(n: int) -> IntPoly:
     phin = cyclotomic(n)
     c = phin.coeffs
     m = (len(c) - 1) // 2
-    assert len(c) - 1 == 2 * m, "odd degree cannot happen for n >= 3"
-    for k in range(1, m + 1):
-        assert c[m + k] == c[m - k], f"Phi_{n} not palindromic?"
+    if len(c) - 1 != 2 * m:
+        raise ArithmeticError(f"Phi_{n} has odd degree")
+    if any(c[m + k] != c[m - k] for k in range(1, m + 1)):
+        raise ArithmeticError(f"Phi_{n} is not palindromic")
     out = IntPoly((c[m],))
     v_prev = IntPoly((2,))
     v_cur = IntPoly((0, 1))
@@ -99,20 +108,22 @@ def psi(n: int) -> IntPoly:
     return out
 
 
+def chebyshev_terms():
+    """T_0, T_1, T_2, ... without end; only the last two are kept."""
+    t_prev = IntPoly((1,))
+    t_cur = IntPoly((0, 1))
+    two_x = IntPoly((0, 2))
+    yield t_prev
+    while True:
+        yield t_cur
+        t_prev, t_cur = t_cur, two_x.multiply(t_cur).subtract(t_prev)
+
+
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> IntPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return IntPoly((1,))
-    if n == 1:
-        return IntPoly((0, 1))
-    t_prev = IntPoly((1,))
-    t_cur = IntPoly((0, 1))
-    two_x = IntPoly((0, 2))
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, two_x.multiply(t_cur).subtract(t_prev)
-    return t_cur
+    return next(islice(chebyshev_terms(), n, None))
 
 
 def chebyshev_t_value(n: int, s: int) -> int:
@@ -130,7 +141,7 @@ def chebyshev_t_value(n: int, s: int) -> int:
 def chebyshev_factor_values(n: int, s: int) -> list[tuple[int, int]]:
     """Pairs (d, psi_{4d}(2s)) over divisors d of n with n/d odd.
 
-    The values multiply to exactly 2*T_n(s); this identity is asserted.
+    The values multiply to exactly 2*T_n(s); this identity is checked.
     Values are produced by recursion on the identity itself,
     psi_{4P}(2s) = 2 T_P(s) / prod_{d | P, P/d odd, d < P} psi_{4d}(2s),
     so no large-degree polynomial is ever built.  A zero intermediate
@@ -138,11 +149,11 @@ def chebyshev_factor_values(n: int, s: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("index must be positive")
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0 and (n // d) % 2 == 1)
+    odd_cofactor = [d for d in divisors(n) if (n // d) % 2 == 1]
     values: dict[int, int] = {}
-    for d in divisors:
+    for d in odd_cofactor:
         prod = 1
-        for e in divisors:
+        for e in odd_cofactor:
             if e < d and d % e == 0 and (d // e) % 2 == 1:
                 prod *= values[e]
         numer = 2 * chebyshev_t_value(d, s)
@@ -151,7 +162,8 @@ def chebyshev_factor_values(n: int, s: int) -> list[tuple[int, int]]:
         else:
             values[d] = psi(4 * d).evaluate(2 * s)
     check = 1
-    for d in divisors:
+    for d in odd_cofactor:
         check *= values[d]
-    assert check == 2 * chebyshev_t_value(n, s), "psi product identity failed"
-    return [(d, values[d]) for d in divisors]
+    if check != 2 * chebyshev_t_value(n, s):
+        raise ArithmeticError("psi product identity failed")
+    return [(d, values[d]) for d in odd_cofactor]

@@ -1,9 +1,13 @@
 """Command line round trips and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import factoridiv
 from factoridiv import cli
 from factoridiv.construct import construct_quadratic
 from factoridiv.intpoly import IntPoly
@@ -261,3 +265,43 @@ def test_scan_budget_and_jobs(capsys, monkeypatch):
     for jobs in ("0", "-2"):
         code, _, err = run(scan + ["--jobs", jobs], capsys)
         assert code == 64 and "factoridiv: error:" in err
+
+
+# bench seed-0 arguments of the families whose identity checks must not
+# depend on assert statements
+OPTIMIZED_ARGVS = [
+    ["construct", "--class", "binomial", "--m", "4", "--s", "2,3",
+     "--ratio", "6/5"],
+    ["construct", "--class", "cyclotomic", "--m", "2", "--s", "2,3,5"],
+    ["construct", "--class", "chebyshev", "--ms", "2", "--s", "2,3,4,5,6",
+     "--ratio", "9/8"],
+    ["table", "phi", "--max", "30"],
+]
+
+
+def test_output_identical_under_python_O(capsys):
+    # the same calls in this interpreter and in one run with asserts off;
+    # each call's stdout is followed by an exit line
+    want = "optimize 1\n"
+    for argv in OPTIMIZED_ARGVS:
+        code, out, _ = run(argv, capsys)
+        want += f"{out}exit {code}\n"
+    script = (
+        "import sys\n"
+        "from factoridiv import cli\n"
+        "print('optimize', sys.flags.optimize)\n"
+        f"for argv in {OPTIMIZED_ARGVS!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print('exit', code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want

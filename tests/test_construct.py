@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from factoridiv import construct
 from factoridiv.construct import (
     ConstructionBudgetError,
     SchinzelInconsistency,
@@ -133,6 +136,46 @@ def test_schinzel_pieces_random_cubics():
         ok += 1
     assert ok + bad == 60
     assert ok >= 30
+
+
+def fraction_screen(f, kappa, taus):
+    """Reference tau screen in Fraction arithmetic: keep tau when d1 != 0
+    and d0 + 2 kappa d1 is a rational square r**2."""
+    a, b, c, d = (Fraction(f.coefficient(i)) for i in (3, 2, 1, 0))
+    p2, p1, p0 = -b / a, -c / a, -d / a
+    q2, q1, q0 = p2 * p2 + p1, p2 * p1 + p0, p2 * p0
+    kept = []
+    for tau in taus:
+        e0 = -(q2 + 2 * tau * p2 + tau * tau) / 2
+        d1 = q1 + 2 * tau * p1 + 2 * tau * e0
+        if d1 == 0:
+            continue
+        v = q0 + 2 * tau * p0 + e0 * e0 + 2 * kappa * d1
+        if v < 0:
+            continue
+        rn, rd = math.isqrt(v.numerator), math.isqrt(v.denominator)
+        if rn * rn == v.numerator and rd * rd == v.denominator:
+            kept.append((tau, e0, d1, Fraction(rn, rd)))
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+    kappa=st.integers(1, 6),
+    taus=st.lists(st.sampled_from(construct._TAUS_WIDE), max_size=40),
+)
+@example(coeffs=[1, 1, 1, 1], kappa=2, taus=list(construct._TAUS_WIDE))
+@example(coeffs=[1, 0, 0, 5], kappa=1, taus=list(construct._TAUS_WIDE))
+def test_integer_tau_screen_matches_fraction_screen(coeffs, kappa, taus):
+    f = IntPoly(coeffs)
+    got = list(construct._tau_screen(f, kappa, taus))
+    assert got == fraction_screen(f, kappa, taus)
+
+
+def test_integer_tau_screen_keeps_squares():
+    # the property above is not vacuous: six wide-grid tau pass here
+    assert len(list(construct._tau_screen(CUBIC_ONES, 2, construct._TAUS_WIDE))) == 6
 
 
 def test_schinzel_pieces_input_validation():
@@ -283,6 +326,18 @@ def test_binomial_smoothness_decreases_with_ratio():
         assert verify(cert).accepted
         vals.append(certificate_smoothness(cert))
     assert vals[0] > vals[1] > vals[2]
+
+
+def test_binomial_wrong_cyclotomic_raises_arithmetic_error(monkeypatch):
+    # the product identity is an explicit check, so it also runs under -O
+    real = construct.cyclotomic
+
+    def wrong(d):
+        return real(d) + 1 if d == 3 else real(d)
+
+    monkeypatch.setattr(construct, "cyclotomic", wrong)
+    with pytest.raises(ArithmeticError, match="multiply to P"):
+        construct_binomial_power(4, [2], Fraction(6, 5))
 
 
 def test_binomial_input_validation():

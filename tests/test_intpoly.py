@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factoridiv.intpoly import (
     ContentSplit,
@@ -133,6 +135,54 @@ def test_exact_divide_rational_quotient():
     assert rep.kind == "rational-quotient"
     assert rep.exact_over_rationals
     assert rep.quotient == (Fraction(1, 2), Fraction(3, 2), Fraction(1))
+
+
+def fraction_long_divide(num, den):
+    """Reference: ordinary long division over Q, as (quotient, remainder)."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        q = num[shift + len(den) - 1] / den[-1]
+        quot[shift] = q
+        for i, c in enumerate(den):
+            num[shift + i] -= q * c
+    rem = num[: len(den) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+UNIT_LEAD = st.builds(
+    lambda lower, lead: IntPoly(lower + [lead]),
+    st.lists(st.integers(-30, 30), max_size=6),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    divisor=UNIT_LEAD,
+    cofactor=st.lists(st.integers(-30, 30), max_size=6),
+    extra=st.lists(st.integers(-50, 50), max_size=10),
+)
+@example(divisor=IntPoly((1,)), cofactor=[], extra=[])  # zero dividend
+@example(divisor=IntPoly((-1,)), cofactor=[], extra=[4, -3, 2])  # constant
+@example(divisor=IntPoly((5, 0, 0, 0, 1)), cofactor=[], extra=[1, 2])  # higher
+@example(divisor=IntPoly((1, 0, -1)), cofactor=[0, 7, 1], extra=[])  # exact
+@example(divisor=IntPoly((0, 0, -1)), cofactor=[3, 1], extra=[0, 5])
+def test_exact_divide_unit_lead_matches_fraction_division(divisor, cofactor, extra):
+    # random dividends plus exact multiples of the divisor
+    dividend = divisor * IntPoly(cofactor) + IntPoly(extra)
+    quot, rem = fraction_long_divide(dividend.coeffs, divisor.coeffs)
+    got = dividend.exact_divide(divisor)
+    if rem:
+        assert got == DivisionReport("not-a-factor", tuple(quot), tuple(rem))
+        assert all(isinstance(c, Fraction) for c in got.quotient + got.remainder)
+    else:
+        assert all(q.denominator == 1 for q in quot)
+        assert got == IntPoly(int(q) for q in quot)
+        if not extra:
+            assert got == IntPoly(cofactor)
 
 
 def test_divide_by_zero():

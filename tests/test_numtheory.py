@@ -12,6 +12,7 @@ from factoridiv.numtheory import (
     BudgetExceededError,
     FactorizationBudgetError,
     decimal_log_ratio,
+    divisors,
     euler_phi,
     factorize,
     find_prime_divisor_of_values,
@@ -147,6 +148,13 @@ def test_euler_phi():
     for n in range(1, 150):
         direct = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert euler_phi(n) == direct
+
+
+def test_divisors_ascending():
+    for n in list(range(1, 400)) + [30030, 2**12, 9973]:
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_mertens_select_minimality():

@@ -106,3 +106,35 @@ def test_chebyshev_factor_values():
             # each listed value is the real-cyclotomic factor at 2s
             for d, v in pairs:
                 assert v == psi(4 * d).evaluate(2 * s)
+
+
+def test_cyclotomic_product_identity_to_250():
+    for n in range(1, 251):
+        prod = IntPoly.one()
+        for d in divisors(n):
+            prod = prod * cyclotomic(d)
+        assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 251):
+        ref = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()
+        assert cyclotomic(n).coeffs == tuple(int(c) for c in reversed(ref))
+
+
+def test_chebyshev_table_matches_single_terms(capsys):
+    from factoridiv import cli
+
+    assert cli.main(["table", "chebyshev", "--max", "60"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 61
+    for i, line in enumerate(lines):
+        index, coeffs = line.split("\t")
+        poly = IntPoly.from_string(coeffs)
+        assert int(index) == i
+        assert poly == chebyshev_t.__wrapped__(i) == chebyshev_t(i)
+        for s in (-2, 3, 7):
+            assert poly.evaluate(s) == chebyshev_t_value(i, s)
+
