@@ -127,40 +127,53 @@ def _factor_budget(args) -> int:
     return budget
 
 
+_POLYS = ("poly", "count")
+_M_S = ("m", "s", "ratio")
+
+# family -> (the flags it reads besides --seed and --out, its argument
+# check, the usage complaint when the check fails, its constructor call);
+# the check and the call take the parsed arguments and the --poly list
+FAMILIES = {
+    "quadratic": (
+        _POLYS, lambda a, p: len(p) == 1, "takes exactly one --poly",
+        lambda a, p: construct_quadratic(p[0], a.count, seed=a.seed)),
+    "cubic": (
+        _POLYS, lambda a, p: len(p) == 1, "takes exactly one --poly",
+        lambda a, p: construct_cubic(p[0], a.count)),
+    "quartic-cl": (
+        _POLYS, lambda a, p: len(p) == 2, "takes two --poly factors",
+        lambda a, p: construct_quartic_cubic_linear(
+            _poly_by_degree(p, 3), _poly_by_degree(p, 1), a.count)),
+    "quartic-qq": (
+        _POLYS, lambda a, p: len(p) == 2 and all(q.degree == 2 for q in p),
+        "takes two quadratic --poly factors",
+        lambda a, p: construct_quartic_biquadratic(p[0], p[1], a.count)),
+    "binomial": (
+        _M_S, lambda a, p: a.m is not None and a.s, "needs --m and --s",
+        lambda a, p: construct_binomial_power(
+            a.m, _int_list(a.s), Fraction(a.ratio))),
+    "cyclotomic": (
+        _M_S, lambda a, p: a.m is not None and a.s, "needs --m and --s",
+        lambda a, p: construct_cyclotomic(a.m, _int_list(a.s), Fraction(a.ratio))),
+    "chebyshev": (
+        ("ms", "s", "ratio"), lambda a, p: a.ms and a.s, "needs --ms and --s",
+        lambda a, p: construct_chebyshev(
+            _int_list(a.ms), _int_list(a.s), Fraction(a.ratio))),
+}
+
+
 def _cmd_construct(args, budget: int) -> int:
+    reads, check, complaint, build = FAMILIES[args.family]
+    for flag in ("poly", "m", "ms", "s", "count", "ratio"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError(f"{args.family} does not take --{flag}")
+    args.count = 1 if args.count is None else args.count
+    args.ratio = "1" if args.ratio is None else args.ratio
     polys = [IntPoly.from_string(p) for p in (args.poly or [])]
-    ratio = Fraction(args.ratio)
+    if not check(args, polys):
+        raise UsageError(f"{args.family} {complaint}")
     try:
-        if args.family == "quadratic":
-            if len(polys) != 1:
-                raise UsageError("quadratic takes exactly one --poly")
-            certs = construct_quadratic(polys[0], args.count, seed=args.seed)
-        elif args.family == "cubic":
-            if len(polys) != 1:
-                raise UsageError("cubic takes exactly one --poly")
-            certs = construct_cubic(polys[0], args.count)
-        elif args.family == "quartic-cl":
-            if len(polys) != 2:
-                raise UsageError("quartic-cl takes two --poly factors")
-            certs = construct_quartic_cubic_linear(
-                _poly_by_degree(polys, 3), _poly_by_degree(polys, 1), args.count
-            )
-        elif args.family == "quartic-qq":
-            if len(polys) != 2 or any(p.degree != 2 for p in polys):
-                raise UsageError("quartic-qq takes two quadratic --poly factors")
-            certs = construct_quartic_biquadratic(polys[0], polys[1], args.count)
-        elif args.family == "binomial":
-            if args.m is None or not args.s:
-                raise UsageError("binomial needs --m and --s")
-            certs = construct_binomial_power(args.m, _int_list(args.s), ratio)
-        elif args.family == "cyclotomic":
-            if args.m is None or not args.s:
-                raise UsageError("cyclotomic needs --m and --s")
-            certs = construct_cyclotomic(args.m, _int_list(args.s), ratio)
-        else:
-            if not args.ms or not args.s:
-                raise UsageError("chebyshev needs --ms and --s")
-            certs = construct_chebyshev(_int_list(args.ms), _int_list(args.s), ratio)
+        certs = build(args, polys)
     except ConstructionBudgetError as exc:
         _write_certs(exc.partial, args.out)
         print(json.dumps(exc.report, sort_keys=True), file=sys.stderr)
@@ -265,24 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="family",
         required=True,
-        choices=[
-            "quadratic",
-            "cubic",
-            "quartic-cl",
-            "quartic-qq",
-            "binomial",
-            "cyclotomic",
-            "chebyshev",
-        ],
+        choices=list(FAMILIES),
     )
     con.add_argument("--poly", action="append",
                      help="comma separated coefficients, ascending")
     con.add_argument("--m", type=int, help="order for binomial/cyclotomic")
     con.add_argument("--ms", help="comma separated Chebyshev orders")
     con.add_argument("--s", help="comma separated base values")
-    con.add_argument("--count", type=int, default=1)
-    con.add_argument("--ratio", default="1",
-                     help="Mertens oversampling ratio, e.g. 9/8")
+    con.add_argument("--count", type=int)
+    con.add_argument("--ratio", help="Mertens oversampling ratio, e.g. 9/8")
     con.add_argument("--seed", type=int, default=0)
     con.add_argument("--out", help="output file (default stdout)")
 

@@ -38,6 +38,7 @@ from .intpoly import IntPoly, fraction_content_split
 from .numtheory import (
     BudgetExceededError,
     MertensSelection,
+    decimal_digits_upper,
     divisors,
     euler_phi,
     find_prime_divisor_of_values,
@@ -49,7 +50,6 @@ from .pell import (
     fundamental_solution,
     indices_with_s_divisible,
     pair_at,
-    stream,
 )
 from .specialpoly import (
     chebyshev_factor_values,
@@ -121,11 +121,10 @@ class ConstructionBudgetError(BudgetExceededError):
 # shared emission helpers
 
 
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+def _require(ok: bool, what: str) -> None:
+    # identity checks that must also run under python -O
+    if not ok:
+        raise ArithmeticError(what)
 
 
 def _absorb_content(values: list[int], content: int, n: int) -> list[int]:
@@ -200,10 +199,6 @@ def _extend_selection(sel: MertensSelection) -> MertensSelection:
     )
 
 
-def _digits_upper(bits: int) -> int:
-    return bits * 30103 // 100000 + 1
-
-
 # --------------------------------------------------------------------------
 # quadratic family
 
@@ -230,7 +225,7 @@ def construct_quadratic(
         raise ValueError("count must be positive")
     comp = poly.compose(poly.add(IntPoly((0, 1))))
     q_poly = comp.exact_divide(poly)
-    assert isinstance(q_poly, IntPoly), "P(x) must divide P(P(x)+x)"
+    _require(isinstance(q_poly, IntPoly), "P(x) must divide P(P(x)+x)")
     lower = q_poly.leading // poly.leading
     l, q = find_prime_divisor_of_values(q_poly, lower, scan_limit, seed=seed)
     certs: list[WitnessCertificate] = []
@@ -240,7 +235,7 @@ def construct_quadratic(
         steps += 1
         qm = q_poly.evaluate(m)
         pm = poly.evaluate(m)
-        assert qm % q == 0, "q must divide Q(m) along the progression"
+        _require(qm % q == 0, "q must divide Q(m) along the progression")
         n = pm + m
         f1, f2, f3 = q, qm // q, pm
         if 1 < f1 < f2 < f3 < n:
@@ -636,7 +631,8 @@ def _conic_point(a, b, c, d, r, s):
     # a x**2 - b x = c y**2 - d y identically in (r, s); see the check.
     x = -b * c * s * s - d * r * s
     y = -b * r * s - a * d * s * s
-    assert a * x * x - b * x == c * y * y - d * y
+    _require(a * x * x - b * x == c * y * y - d * y,
+             "the point must lie on the conic")
     return x, y
 
 
@@ -644,10 +640,10 @@ def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
     a, b, c, d = inst.sides
     u, v = _conic_point(a, b, c, d, r, s)
     t = inst.r_hit.g.evaluate(u)
-    assert t == inst.s_hit.g.evaluate(v), "linked arguments must meet"
+    _require(t == inst.s_hit.g.evaluate(v), "linked arguments must meet")
     n_shift = inst.top.g.evaluate(t)
     n = n_shift + shift_y
-    if n < 2 or _digits_upper(n.bit_length()) > max_n_digits:
+    if n < 2 or decimal_digits_upper(n.bit_length()) > max_n_digits:
         return None
     vals = [
         inst.r_hit.f1.evaluate(u),
@@ -657,7 +653,8 @@ def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
     ]
     content = inst.top.content * inst.r_hit.content * inst.s_hit.content
     shifted = poly.shift(shift_y)
-    assert _product(vals) * content == shifted.evaluate(n_shift)
+    _require(math.prod(vals) * content == shifted.evaluate(n_shift),
+             "cubic pieces must multiply to P(n)")
     if any(v == 0 for v in vals):
         return None
     factors = _absorb_content([abs(x) for x in vals], content, n)
@@ -668,6 +665,58 @@ def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
         if mx**5 >= n**4:  # max factor must stay under n**0.8
             return None
     return n, factors
+
+
+# The cubic and both quartic families share one search.  Each candidate
+# names a Pell equation r**2 - D s**2 = 1 and a modulus M; _pell_search
+# solves the equation, walks the indices j >= 1 with M | s_j and hands
+# each to the family's attempt, which builds n and its factor list from
+# the pair (r_j, s_j) or gives up on that index.
+
+
+def _pell_search(cls, poly, cases, count, tries, pell_digit_budget, reason):
+    """Certificates of class cls for poly from the Pell-linked cases.
+
+    cases yields one entry per candidate: None for a candidate dropped
+    before its Pell equation, else (l, pell_d, modulus, attempt).
+    attempt(j, fund) returns (n, factors, params) or None; pell_d and
+    pell_index are appended to params.  At most tries indices are tried
+    per candidate.  cases is resumed only after the driver is done with
+    the previous attempt, so an attempt may close over the loop variables
+    of the generator that made it.  Short of count certificates, raises
+    ConstructionBudgetError with reason.format(candidates seen).
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    certs: list[WitnessCertificate] = []
+    report: dict[str, str] = {"class": cls}
+    seen = 0
+    for case in cases:
+        seen += 1
+        if case is None:
+            continue
+        l, pell_d, modulus, attempt = case
+        try:
+            fund = fundamental_solution(pell_d, pell_digit_budget)
+        except PellBudgetError as exc:
+            report.setdefault("blocking_pell_d", str(exc.d))
+            report.setdefault("blocking_l", str(l))
+            report.setdefault("blocking_digits", str(exc.digits))
+            continue
+        indices = indices_with_s_divisible(pell_d, fund, modulus)
+        for j in itertools.islice(indices, 1, tries + 1):  # s_0 = 0
+            got = attempt(j, fund)
+            if got is None:
+                continue
+            n, factors, params = got
+            params.update(pell_d=str(pell_d), pell_index=str(j))
+            certs.append(
+                WitnessCertificate(poly, cls, n, tuple(factors), params, "distinct")
+            )
+            if len(certs) == count:
+                return certs
+    report["reason"] = reason.format(seen)
+    raise ConstructionBudgetError(certs, report)
 
 
 def construct_cubic(
@@ -692,55 +741,31 @@ def construct_cubic(
     """
     if poly.degree != 3 or poly.leading < 1:
         raise ValueError("need a cubic with positive leading coefficient")
-    if count < 1:
-        raise ValueError("count must be positive")
     shift_y, shifted = poly.shift_to_positive()
-    certs: list[WitnessCertificate] = []
-    report: dict[str, str] = {"class": "cubic"}
-    instances = 0
-    for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
-        instances += 1
-        try:
-            fund = fundamental_solution(inst.pell_d, pell_digit_budget)
-        except PellBudgetError as exc:
-            report.setdefault("blocking_pell_d", str(exc.d))
-            report.setdefault("blocking_l", str(inst.l))
-            report.setdefault("blocking_digits", str(exc.digits))
-            continue
-        pairs = stream(inst.pell_d, fund)
-        next(pairs)  # index 0 has s = 0, degenerate
-        for j in range(1, index_cap + 1):
-            r, s = next(pairs)
-            got = _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits)
-            if got is None:
-                continue
-            n, factors = got
-            certs.append(
-                WitnessCertificate(
-                    poly,
-                    "cubic",
-                    n,
-                    tuple(factors),
-                    {
-                        "shift": str(shift_y),
-                        "kappa": str(inst.kappa),
-                        "tau_top": str(inst.top.tau),
-                        "l": str(inst.l),
-                        "tau_r": str(inst.r_hit.tau),
-                        "tau_s": str(inst.s_hit.tau),
-                        "pell_d": str(inst.pell_d),
-                        "pell_index": str(j),
-                    },
-                    "distinct",
-                )
-            )
-            if len(certs) == count:
-                return certs
-    report["reason"] = (
-        f"exhausted {instances} linked instances "
-        f"(kappa<={kappa_max}, l<={l_max})"
+
+    def cases():
+        for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
+
+            def attempt(j, fund):
+                r, s = pair_at(inst.pell_d, fund, j)
+                got = _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits)
+                if got is None:
+                    return None
+                return *got, {
+                    "shift": str(shift_y),
+                    "kappa": str(inst.kappa),
+                    "tau_top": str(inst.top.tau),
+                    "l": str(inst.l),
+                    "tau_r": str(inst.r_hit.tau),
+                    "tau_s": str(inst.s_hit.tau),
+                }
+
+            yield inst.l, inst.pell_d, 1, attempt
+
+    return _pell_search(
+        "cubic", poly, cases(), count, index_cap, pell_digit_budget,
+        f"exhausted {{}} linked instances (kappa<={kappa_max}, l<={l_max})",
     )
-    raise ConstructionBudgetError(certs, report)
 
 
 def construct_quartic_cubic_linear(
@@ -766,78 +791,48 @@ def construct_quartic_cubic_linear(
         raise ValueError("need a cubic with positive leading coefficient")
     if linear.degree != 1 or linear.leading < 1:
         raise ValueError("need a linear factor with positive slope")
-    if count < 1:
-        raise ValueError("count must be positive")
-    poly = cubic.multiply(linear)
     e = linear.coefficient(1)
     shift_y, shifted = cubic.shift_to_positive()
     f_eff = linear.coefficient(0) + e * shift_y
-    certs: list[WitnessCertificate] = []
-    report: dict[str, str] = {"class": "quartic_cubic_linear"}
-    instances = 0
-    for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
-        instances += 1
-        p_val = e * inst.top.g.evaluate(2 * inst.l) + f_eff
-        # the index filter walks the pair sequence mod p_val, so keep the
-        # modulus small enough for the period scan
-        if p_val < 2 or p_val > 100_000:
-            continue
-        try:
-            fund = fundamental_solution(inst.pell_d, pell_digit_budget)
-        except PellBudgetError as exc:
-            report.setdefault("blocking_pell_d", str(exc.d))
-            report.setdefault("blocking_l", str(inst.l))
-            report.setdefault("blocking_digits", str(exc.digits))
-            continue
-        indices = indices_with_s_divisible(inst.pell_d, fund, p_val)
-        tried = 0
-        for j in indices:
-            if j == 0:
+
+    def cases():
+        for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
+            p_val = e * inst.top.g.evaluate(2 * inst.l) + f_eff
+            # the index filter walks the pair sequence mod p_val, so keep the
+            # modulus small enough for the period scan
+            if p_val < 2 or p_val > 100_000:
+                yield None
                 continue
-            tried += 1
-            if tried > index_tries:
-                break
-            # the subsequence grows fast; bail out before huge pairs
-            if _digits_upper(fund[1].bit_length()) * j * 9 > max_n_digits:
-                break
-            r, s = pair_at(inst.pell_d, fund, j)
-            assert s % p_val == 0
-            got = _cubic_attempt(
-                cubic, shift_y, inst, r, s, max_n_digits
-            )
-            if got is None:
-                continue
-            n, cubic_factors = got
-            lin_val = linear.evaluate(n)
-            assert lin_val % p_val == 0, "p must divide the linear value"
-            cof = lin_val // p_val
-            factors = sorted(cubic_factors + [p_val, cof])
-            if not _distinct_ok(factors, n):
-                continue
-            certs.append(
-                WitnessCertificate(
-                    poly,
-                    "quartic_cubic_linear",
-                    n,
-                    tuple(factors),
-                    {
-                        "shift": str(shift_y),
-                        "kappa": str(inst.kappa),
-                        "l": str(inst.l),
-                        "p": str(p_val),
-                        "pell_d": str(inst.pell_d),
-                        "pell_index": str(j),
-                    },
-                    "distinct",
-                )
-            )
-            if len(certs) == count:
-                return certs
-    report["reason"] = (
-        f"exhausted {instances} linked instances "
-        f"(kappa<={kappa_max}, l<={l_max})"
+
+            def attempt(j, fund):
+                # the subsequence grows fast; give up before huge pairs
+                if decimal_digits_upper(fund[1].bit_length()) * j * 9 > max_n_digits:
+                    return None
+                r, s = pair_at(inst.pell_d, fund, j)
+                _require(s % p_val == 0, "p must divide s")
+                got = _cubic_attempt(cubic, shift_y, inst, r, s, max_n_digits)
+                if got is None:
+                    return None
+                n, cubic_factors = got
+                lin_val = linear.evaluate(n)
+                _require(lin_val % p_val == 0, "p must divide the linear value")
+                factors = sorted(cubic_factors + [p_val, lin_val // p_val])
+                if not _distinct_ok(factors, n):
+                    return None
+                return n, factors, {
+                    "shift": str(shift_y),
+                    "kappa": str(inst.kappa),
+                    "l": str(inst.l),
+                    "p": str(p_val),
+                }
+
+            yield inst.l, inst.pell_d, p_val, attempt
+
+    return _pell_search(
+        "quartic_cubic_linear", cubic.multiply(linear), cases(), count,
+        index_tries, pell_digit_budget,
+        f"exhausted {{}} linked instances (kappa<={kappa_max}, l<={l_max})",
     )
-    raise ConstructionBudgetError(certs, report)
 
 
 # --------------------------------------------------------------------------
@@ -871,15 +866,11 @@ def construct_quartic_biquadratic(
         ):
             raise ValueError("need quadratics with nonnegative coefficients "
                              "and positive ends")
-    if count < 1:
-        raise ValueError("count must be positive")
     poly = first.multiply(second)
-    certs: list[WitnessCertificate] = []
-    report: dict[str, str] = {"class": "quartic_biquadratic"}
-    attempts = 0
-    for l in range(1, l_max + 1):
-        for u_side, k_side in ((first, second), (second, first)):
-            attempts += 1
+
+    def cases():
+        sides = ((first, second), (second, first))
+        for l, (u_side, k_side) in itertools.product(range(1, l_max + 1), sides):
             c1 = u_side.coefficient(0)
             # R(x) = u_side(c1 x)/c1 has constant term 1 and stays integral
             r_poly = IntPoly(
@@ -905,84 +896,71 @@ def construct_quartic_biquadratic(
             )
             q1_poly = q_poly.shift(fq)
             chain = IntPoly((fq, 1)).add(q1_poly.scale(l * fq))
-            assert chain == g_k, "k-side chain must close"
-            assert IntPoly((0, 1)).add(r_poly.scale(v_const)) == h_u, \
-                "u-side chain must close"
+            _require(chain == g_k, "k-side chain must close")
+            _require(IntPoly((0, 1)).add(r_poly.scale(v_const)) == h_u,
+                     "u-side chain must close")
             a_k = g_k.coefficient(2)
             b_k = g_k.coefficient(1)
             c_u = h_u.coefficient(2)
             d_u = h_u.coefficient(1)
             pell_d = a_k * c_u
             if pell_d < 2 or is_perfect_square(pell_d):
+                yield None
                 continue
             q2_poly = q_poly.compose(g_k).exact_divide(q1_poly)
             r2_poly = r_poly.compose(h_u).exact_divide(r_poly)
-            assert isinstance(q2_poly, IntPoly) and isinstance(r2_poly, IntPoly)
+            _require(isinstance(q2_poly, IntPoly) and isinstance(r2_poly, IntPoly),
+                     "the chains must divide exactly")
             c_q = q2_poly.coefficient(0)
             c_r = r2_poly.coefficient(0)
             modulus = c_q * c_r
             if modulus < 1 or modulus > modulus_cap:
+                yield None
                 continue
-            try:
-                fund = fundamental_solution(pell_d, pell_digit_budget)
-            except PellBudgetError as exc:
-                report.setdefault("blocking_pell_d", str(exc.d))
-                report.setdefault("blocking_l", str(l))
-                report.setdefault("blocking_digits", str(exc.digits))
-                continue
-            tried = 0
-            for j in indices_with_s_divisible(pell_d, fund, modulus):
-                if j == 0:
-                    continue
-                tried += 1
-                if tried > index_tries:
-                    break
-                if _digits_upper(fund[1].bit_length()) * j * 5 > max_n_digits:
-                    break
+
+            def attempt(j, fund):
+                if decimal_digits_upper(fund[1].bit_length()) * j * 5 > max_n_digits:
+                    return None
                 r, s = pair_at(pell_d, fund, j)
                 k_val, u_val = _conic_point(a_k, -b_k, c_u, -d_u, r, s)
-                assert k_val > 0 and u_val > 0
+                _require(k_val > 0 and u_val > 0, "k and u must be positive")
                 n_inner = g_k.evaluate(k_val)
-                assert n_inner == h_u.evaluate(u_val)
+                _require(n_inner == h_u.evaluate(u_val), "k and u must meet")
                 q1_val = q_poly.evaluate(k_val + fq)
                 r1_val = r_poly.evaluate(u_val)
-                assert n_inner == (k_val + fq) + l * fq * q1_val
-                assert n_inner == u_val + v_const * r1_val
+                _require(n_inner == (k_val + fq) + l * fq * q1_val,
+                         "k-side chain must hold at k")
+                _require(n_inner == u_val + v_const * r1_val,
+                         "u-side chain must hold at u")
                 qn_val = q_poly.evaluate(n_inner)
                 rn_val = r_poly.evaluate(n_inner)
-                assert qn_val % q1_val == 0, "Q(k+f) must divide Q(n)"
-                assert rn_val % r1_val == 0, "R(u) must divide R(n)"
+                _require(qn_val % q1_val == 0, "Q(k+f) must divide Q(n)")
+                _require(rn_val % r1_val == 0, "R(u) must divide R(n)")
                 q2_val = qn_val // q1_val
                 r2_val = rn_val // r1_val
-                assert q2_val % c_q == 0 and r2_val % c_r == 0
+                _require(q2_val % c_q == 0 and r2_val % c_r == 0,
+                         "c_q and c_r must divide the cofactors")
                 n = c1 * n_inner
                 vals = [modulus, q1_val, r1_val, q2_val // c_q, r2_val // c_r]
-                assert _product(vals) * c1 == poly.evaluate(n)
+                _require(math.prod(vals) * c1 == poly.evaluate(n),
+                         "quadratic pieces must multiply to P(n)")
                 factors = _absorb_content(vals, c1, n)
                 if not _distinct_ok(factors, n):
-                    continue
-                certs.append(
-                    WitnessCertificate(
-                        poly,
-                        "quartic_biquadratic",
-                        n,
-                        tuple(sorted(factors)),
-                        {
-                            "l": str(l),
-                            "scale": str(c1),
-                            "v": str(v_const),
-                            "c_q": str(c_q),
-                            "c_r": str(c_r),
-                            "pell_d": str(pell_d),
-                            "pell_index": str(j),
-                        },
-                        "distinct",
-                    )
-                )
-                if len(certs) == count:
-                    return certs
-    report["reason"] = f"exhausted {attempts} (l, assignment) candidates"
-    raise ConstructionBudgetError(certs, report)
+                    return None
+                return n, sorted(factors), {
+                    "l": str(l),
+                    "scale": str(c1),
+                    "v": str(v_const),
+                    "c_q": str(c_q),
+                    "c_r": str(c_r),
+                }
+
+            yield l, pell_d, modulus, attempt
+
+    return _pell_search(
+        "quartic_biquadratic", poly, cases(), count, index_tries,
+        pell_digit_budget, "exhausted {} (l, assignment) candidates",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1014,7 +992,7 @@ def construct_binomial_power(
     if m < 1:
         raise ValueError("m must be positive")
     sel = _mertens_strict(2, m, ratio)
-    n_value = _product(sel.primes)
+    n_value = math.prod(sel.primes)
     certs: list[WitnessCertificate] = []
     poly = IntPoly((-1,) + (0,) * (m - 1) + (1,))
     for s in s_values:
@@ -1023,7 +1001,7 @@ def construct_binomial_power(
         # bit-length bound keeps the estimate in integers; n_value can be
         # far too large for float conversion
         _check_n_digits(
-            _digits_upper(n_value * m * s.bit_length()),
+            decimal_digits_upper(n_value * m * s.bit_length()),
             max_n_digits,
             certs,
             {"class": "binomial_power", "N": str(n_value), "s": str(s)},
@@ -1031,8 +1009,8 @@ def construct_binomial_power(
         n = s**n_value
         base = s**m
         raw = [cyclotomic(d).evaluate(base) for d in divisors(n_value)]
-        if _product(raw) != poly.evaluate(n):
-            raise ArithmeticError("cyclotomic values must multiply to P(n)")
+        _require(math.prod(raw) == poly.evaluate(n),
+                 "cyclotomic values must multiply to P(n)")
         merged = _merge_duplicates(raw, n)
         if merged is None:
             factors, mode = raw, "legendre"
@@ -1084,9 +1062,9 @@ def construct_cyclotomic(
         sel = base_sel
         emitted = False
         for _ in range(max_extensions + 1):
-            n_value = _product(sel.primes)
+            n_value = math.prod(sel.primes)
             _check_n_digits(
-                _digits_upper(n_value * s.bit_length()),
+                decimal_digits_upper(n_value * s.bit_length()),
                 max_n_digits,
                 certs,
                 {"class": "cyclotomic", "N": str(n_value), "s": str(s)},
@@ -1096,8 +1074,8 @@ def construct_cyclotomic(
                 cyclotomic(m * d).evaluate(s)
                 for d in divisors(n_value)
             ]
-            if _product(raw) != poly.evaluate(n):
-                raise ArithmeticError("cyclotomic values must multiply to P(n)")
+            _require(math.prod(raw) == poly.evaluate(n),
+                     "cyclotomic values must multiply to P(n)")
             merged = _merge_duplicates(raw, n)
             if merged is not None and _distinct_ok(merged, n):
                 certs.append(
@@ -1153,7 +1131,7 @@ def construct_chebyshev(
         raise ValueError("need a nonempty list of positive orders")
     big = max(ms)
     sel = _mertens_strict(next_prime(big + 1), 2 * euler_phi(big), ratio)
-    n_value = _product(sel.primes)
+    n_value = math.prod(sel.primes)
     poly = IntPoly((1,))
     for m in ms:
         poly = poly.multiply(chebyshev_t(m))
@@ -1163,7 +1141,7 @@ def construct_chebyshev(
         if s < 2:
             raise ValueError("each s must be at least 2")
         _check_n_digits(
-            _digits_upper(n_value * max(ms) * (2 * s).bit_length()),
+            decimal_digits_upper(n_value * max(ms) * (2 * s).bit_length()),
             max_n_digits,
             certs,
             {"class": tag, "N": str(n_value), "s": str(s)},
@@ -1177,12 +1155,12 @@ def construct_chebyshev(
                     vals[i] = v // 2
                     break
             else:
-                raise AssertionError("an even psi value must exist")
-            if _product(vals) != chebyshev_t_value(m * n_value, s):
-                raise ArithmeticError("psi values must multiply to T_mN(s)")
+                raise ArithmeticError("an even psi value must exist")
+            _require(math.prod(vals) == chebyshev_t_value(m * n_value, s),
+                     "psi values must multiply to T_mN(s)")
             all_vals.extend(vals)
-        if _product(all_vals) != poly.evaluate(n):
-            raise ArithmeticError("psi values must multiply to P(n)")
+        _require(math.prod(all_vals) == poly.evaluate(n),
+                 "psi values must multiply to P(n)")
         merged = _merge_duplicates(all_vals, n)
         if merged is None or not _distinct_ok(merged, n):
             raise ConstructionBudgetError(

@@ -366,3 +366,11 @@ def decimal_log_ratio(a: int, b: int, places: int = 4) -> Decimal:
         ctx.prec = 50
         val = Decimal(a).ln() / Decimal(b).ln()
         return val.quantize(Decimal(1).scaleb(-places))
+
+
+# Kept out of __all__, whose functions bench/layers.py traces: it runs once
+# per Pell convergent.
+def decimal_digits_upper(bits: int) -> int:
+    """Upper estimate of the decimal digits of an integer of the given bit
+    length, without str() (which is quadratic on huge integers)."""
+    return bits * 30103 // 100000 + 1

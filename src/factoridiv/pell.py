@@ -10,11 +10,11 @@ x_{k+1} = 2 r1 x_k - x_{k-1} starting from (1, 0) and (r1, s1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .numtheory import decimal_digits_upper
 
 __all__ = [
     "PellBudgetError",
-    "PellStream",
     "fundamental_solution",
     "stream",
     "indices_with_s_divisible",
@@ -22,11 +22,6 @@ __all__ = [
 ]
 
 DEFAULT_DIGIT_BUDGET = 5000
-
-
-def _decimal_digits_upper(n: int) -> int:
-    # upper estimate of decimal digits without str(), safe for huge n
-    return n.bit_length() * 30103 // 100000 + 1
 
 
 class PellBudgetError(Exception):
@@ -61,7 +56,7 @@ def fundamental_solution(
     while True:
         if h * h - d * k * k == 1:
             return h, k
-        digits = _decimal_digits_upper(h)
+        digits = decimal_digits_upper(h.bit_length())
         if digits > digit_budget:
             raise PellBudgetError(d, digits, digit_budget)
         p = a * q - p
@@ -71,46 +66,27 @@ def fundamental_solution(
         k_prev, k = k, a * k + k_prev
 
 
-@dataclass
-class PellStream:
+def stream(d: int, fundamental: tuple[int, int] | None = None):
     """Iterator over all solutions (r_k, s_k), k = 0, 1, 2, ...
 
-    Starts at the trivial (1, 0); s_k is strictly increasing.
+    Starts at the trivial (1, 0); s_k is strictly increasing.  The
+    fundamental solution is checked before the iterator is returned.
     """
-
-    d: int
-    fundamental: tuple[int, int]
-    _prev: tuple[int, int] | None = None
-    _cur: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        r1, s1 = self.fundamental
-        if r1 <= 0 or s1 <= 0 or r1 * r1 - self.d * s1 * s1 != 1:
-            raise ValueError("not a Pell solution")
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[int, int]:
-        if self._cur is None:
-            self._cur = (1, 0)
-            return self._cur
-        if self._prev is None:
-            self._prev, self._cur = self._cur, self.fundamental
-            return self._cur
-        r1 = self.fundamental[0]
-        nxt = (
-            2 * r1 * self._cur[0] - self._prev[0],
-            2 * r1 * self._cur[1] - self._prev[1],
-        )
-        self._prev, self._cur = self._cur, nxt
-        return self._cur
-
-
-def stream(d: int, fundamental: tuple[int, int] | None = None) -> PellStream:
     if fundamental is None:
         fundamental = fundamental_solution(d)
-    return PellStream(d, fundamental)
+    r1, s1 = fundamental
+    if r1 <= 0 or s1 <= 0 or r1 * r1 - d * s1 * s1 != 1:
+        raise ValueError("not a Pell solution")
+
+    def pairs():
+        prev, cur = (1, 0), (r1, s1)
+        while True:
+            yield prev
+            prev, cur = cur, (
+                2 * r1 * cur[0] - prev[0], 2 * r1 * cur[1] - prev[1]
+            )
+
+    return pairs()
 
 
 def pair_at(d: int, fundamental: tuple[int, int], k: int) -> tuple[int, int]:
@@ -161,7 +137,8 @@ def indices_with_s_divisible(d: int, fundamental: tuple[int, int], m: int):
             (2 * r1m * cur[1] - prev[1]) % m,
         )
         k += 1
-        assert k <= m * m + 2, "pair period exceeded the m**2 bound"
+        if k > m * m + 2:
+            raise ArithmeticError("pair period exceeded the m**2 bound")
     zeros = [z for z in zeros if z < period]
     base = 0
     while True:

@@ -16,6 +16,7 @@ rule only when the sole obstruction is a duplicated factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,42 +56,40 @@ class VerificationReport:
     unverifiable_factor: int | None = None
 
 
-def _smoothness_fields(cert: WitnessCertificate):
+def _report(cert: WitnessCertificate, rule: str, reason=None, **fields):
+    # past the malformed check every report carries the largest factor's
+    # size relative to n; it is accepted exactly when there is no reason
     mx = max(cert.factors)
-    return Fraction(mx, cert.n), str(decimal_log_ratio(mx, cert.n))
+    return VerificationReport(
+        reason is None, rule, reason, max_factor_ratio=Fraction(mx, cert.n),
+        exponent=str(decimal_log_ratio(mx, cert.n)), **fields,
+    )
+
+
+def _product_mismatch(cert: WitnessCertificate, rule: str):
+    """The product-mismatch report under rule, or None when the factors
+    multiply to |P(n)|; both rules check this first."""
+    if math.prod(cert.factors) == abs(cert.poly.evaluate(cert.n)):
+        return None
+    return _report(cert, rule, "product-mismatch")
 
 
 def verify_distinct(cert: WitnessCertificate) -> VerificationReport:
     """Check the distinct rule; reasons are product-mismatch,
     duplicate-factor, factor-exceeds-n, or malformed."""
-    ratio, expo = None, None
     try:
         if any(f < 1 for f in cert.factors) or cert.n < 2:
             return VerificationReport(False, "distinct", "malformed")
-        ratio, expo = _smoothness_fields(cert)
-        product = 1
-        for f in cert.factors:
-            product *= f
-        if product != abs(cert.poly.evaluate(cert.n)):
-            return VerificationReport(
-                False, "distinct", "product-mismatch",
-                max_factor_ratio=ratio, exponent=expo,
-            )
+        mismatch = _product_mismatch(cert, "distinct")
+        if mismatch is not None:
+            return mismatch
         if len(set(cert.factors)) != len(cert.factors):
-            return VerificationReport(
-                False, "distinct", "duplicate-factor",
-                max_factor_ratio=ratio, exponent=expo,
-            )
+            return _report(cert, "distinct", "duplicate-factor")
         if any(f > cert.n for f in cert.factors):
-            return VerificationReport(
-                False, "distinct", "factor-exceeds-n",
-                max_factor_ratio=ratio, exponent=expo,
-            )
+            return _report(cert, "distinct", "factor-exceeds-n")
+        return _report(cert, "distinct")
     except (TypeError, AttributeError):
         return VerificationReport(False, "distinct", "malformed")
-    return VerificationReport(
-        True, "distinct", max_factor_ratio=ratio, exponent=expo
-    )
 
 
 def verify_legendre(
@@ -102,15 +101,9 @@ def verify_legendre(
 
     A factor that cannot be factored within the budget makes the
     certificate unverifiable (reported, not accepted)."""
-    ratio, expo = _smoothness_fields(cert)
-    product = 1
-    for f in cert.factors:
-        product *= f
-    if product != abs(cert.poly.evaluate(cert.n)):
-        return VerificationReport(
-            False, "legendre", "product-mismatch",
-            max_factor_ratio=ratio, exponent=expo,
-        )
+    mismatch = _product_mismatch(cert, "legendre")
+    if mismatch is not None:
+        return mismatch
     totals: dict[int, int] = {}
     for f in cert.factors:
         if f == 1:
@@ -118,11 +111,7 @@ def verify_legendre(
         try:
             fac = factorize(f, budget, seed)
         except FactorizationBudgetError:
-            return VerificationReport(
-                False, "legendre", "unverifiable",
-                max_factor_ratio=ratio, exponent=expo,
-                unverifiable_factor=f,
-            )
+            return _report(cert, "legendre", "unverifiable", unverifiable_factor=f)
         for p, e in fac.factors:
             totals[p] = totals.get(p, 0) + e
     margins = {}
@@ -130,14 +119,10 @@ def verify_legendre(
         cap = nu_p_factorial(p, cert.n)
         margins[p] = cap - e
         if e > cap:
-            return VerificationReport(
-                False, "legendre", "valuation-exceeds-factorial",
-                margins=margins, max_factor_ratio=ratio, exponent=expo,
+            return _report(
+                cert, "legendre", "valuation-exceeds-factorial", margins=margins
             )
-    return VerificationReport(
-        True, "legendre", margins=margins,
-        max_factor_ratio=ratio, exponent=expo,
-    )
+    return _report(cert, "legendre", margins=margins)
 
 
 def verify(

@@ -125,6 +125,28 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["binomial", "--m", "2", "--s", "2", "--count", "3"], "count"),
+    (["cubic", "--poly", "1,1,1,1", "--ratio", "2"], "ratio"),
+    (["chebyshev", "--ms", "2", "--s", "2", "--poly", "1,1"], "poly"),
+    (["quadratic", "--poly", "1,0,1", "--m", "2"], "m"),
+    (["cyclotomic", "--m", "2", "--s", "2", "--ms", "2"], "ms"),
+    (["quartic-qq", "--poly", "1,2,1", "--poly", "1,1,1", "--s", "2"], "s"),
+])
+def test_construct_rejects_unread_flags(argv, flag, capsys):
+    code, out, err = run(["construct", "--class"] + argv, capsys)
+    assert code == 64 and out == ""
+    assert err == f"factoridiv: error: {argv[0]} does not take --{flag}\n"
+
+
+def test_construct_count_must_be_positive(capsys):
+    for family in (["quadratic", "--poly", "1,0,1"], ["cubic", "--poly", "1,1,1,1"]):
+        code, out, err = run(["construct", "--class"] + family + ["--count", "0"],
+                             capsys)
+        assert code == 64 and out == ""
+        assert err == "factoridiv: error: count must be positive\n"
+
+
 def test_construct_budget_exit(tmp_path, capsys):
     out = tmp_path / "partial.json"
     code, _, err = run(
@@ -276,6 +298,12 @@ OPTIMIZED_ARGVS = [
     ["construct", "--class", "chebyshev", "--ms", "2", "--s", "2,3,4,5,6",
      "--ratio", "9/8"],
     ["table", "phi", "--max", "30"],
+    ["construct", "--class", "quadratic", "--poly", "1,0,1", "--count", "50"],
+    ["construct", "--class", "cubic", "--poly", "1,1,1,1", "--count", "6"],
+    ["construct", "--class", "quartic-cl", "--poly", "1,1,1,1", "--poly", "1,1",
+     "--count", "3"],
+    ["construct", "--class", "quartic-qq", "--poly", "1,2,1", "--poly", "1,1,1",
+     "--count", "5"],
 ]
 
 

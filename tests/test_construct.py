@@ -294,6 +294,85 @@ def test_quartic_input_validation():
         construct_quartic_biquadratic(CUBIC_ONES, X2P1)
 
 
+def test_quartic_cubic_linear_reports():
+    # a Pell digit budget below the one linked instance's solution
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_quartic_cubic_linear(
+            CUBIC_ONES, IntPoly((3, 2)), 2, max_n_digits=20_000,
+            pell_digit_budget=40,
+        )
+    assert ei.value.partial == []
+    assert ei.value.report == {
+        "class": "quartic_cubic_linear",
+        "blocking_pell_d": "129585492816",
+        "blocking_l": "1",
+        "blocking_digits": "41",
+        "reason": "exhausted 1 linked instances (kappa<=4, l<=30)",
+    }
+    # more certificates asked for than index_tries allows
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((1, 1)), 20,
+                                       index_tries=5)
+    assert [c.params["pell_index"] for c in ei.value.partial] == [
+        "11", "22", "33", "44", "55",
+    ]
+    # the Pell keys come last, which keeps the certificate JSON unchanged
+    assert list(ei.value.partial[0].params) == [
+        "shift", "kappa", "l", "p", "pell_d", "pell_index",
+    ]
+    assert ei.value.report == {
+        "class": "quartic_cubic_linear",
+        "reason": "exhausted 1 linked instances (kappa<=4, l<=30)",
+    }
+
+
+def test_quartic_biquadratic_reports():
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_quartic_biquadratic(
+            IntPoly((1, 2, 1)), IntPoly((1, 1, 1)), 30, l_max=4,
+            pell_digit_budget=30,
+        )
+    assert [c.params["pell_index"] for c in ei.value.partial] == [
+        "10", "20", "30", "80", "160", "240", "105", "210", "315", "66",
+        "132", "198",
+    ]
+    assert list(ei.value.partial[0].params) == [
+        "l", "scale", "v", "c_q", "c_r", "pell_d", "pell_index",
+    ]
+    assert ei.value.report == {
+        "class": "quartic_biquadratic",
+        "reason": "exhausted 8 (l, assignment) candidates",
+    }
+    # every candidate is counted, also those dropped before their Pell
+    # equation
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_quartic_biquadratic(
+            IntPoly((3, 1, 2)), IntPoly((1, 4, 1)), 3, max_n_digits=500,
+            modulus_cap=100000,
+        )
+    assert ei.value.report["reason"] == "exhausted 24 (l, assignment) candidates"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_cubic(CUBIC_ONES),
+    lambda: construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((1, 1))),
+    lambda: construct_quartic_biquadratic(IntPoly((1, 2, 1)), IntPoly((1, 1, 1))),
+], ids=["cubic", "quartic-cl", "quartic-qq"])
+def test_pell_constructors_raise_arithmetic_error(monkeypatch, build):
+    # a pair off the Pell curve breaks the identities, which are explicit
+    # checks and so also run under -O
+    real = construct.pair_at
+
+    def wrong(d, fund, k):
+        r, s = real(d, fund, k)
+        return r, s + 1
+
+    monkeypatch.setattr(construct, "pair_at", wrong)
+    with pytest.raises(ArithmeticError) as ei:
+        build()
+    assert ei.type is ArithmeticError
+
+
 # -- binomial, cyclotomic, Chebyshev families --------------------------------
 
 

@@ -1,0 +1,22 @@
+"""Checks on the package source itself."""
+
+import ast
+import pathlib
+
+import factoridiv
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise an exception of its own instead
+    found = []
+    for path in sorted(pathlib.Path(factoridiv.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
