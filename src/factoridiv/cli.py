@@ -26,7 +26,12 @@ from .construct import (
     construct_quartic_cubic_linear,
 )
 from .intpoly import IntPoly
-from .numtheory import DEFAULT_FACTOR_BUDGET
+from .numtheory import (
+    DEFAULT_FACTOR_BUDGET,
+    decimal_digits,
+    decimal_str,
+    int_from_digits,
+)
 from .scan import record_json, scan_parallel
 from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
@@ -38,6 +43,10 @@ EXIT_UNVERIFIABLE = 3
 EXIT_USAGE = 64
 
 CERT_VERSION = 1
+
+# the most decimal digits an integer of a certificate may have; main raises
+# Python's int_max_str_digits to it
+MAX_DIGITS = 2_000_000
 
 
 class UsageError(Exception):
@@ -56,12 +65,22 @@ def cert_to_dict(cert: WitnessCertificate) -> dict:
     return {
         "v": CERT_VERSION,
         "class": cert.class_tag,
-        "poly": [str(c) for c in cert.poly.coeffs],
-        "n": str(cert.n),
-        "factors": [str(f) for f in cert.factors],
+        "poly": [decimal_str(c) for c in cert.poly.coeffs],
+        "n": decimal_str(cert.n),
+        "factors": [decimal_str(f) for f in cert.factors],
         "params": dict(cert.params),
         "mode": cert.mode_hint,
     }
+
+
+def _int(value) -> int:
+    # plain digit strings within the format bound parse in subquadratic time
+    # and whatever int_max_str_digits is; every other value, over-long
+    # strings included, goes to int() with its syntax and error messages
+    if (isinstance(value, str) and len(value) <= MAX_DIGITS
+            and value.isascii() and value.isdigit()):
+        return int_from_digits(value)
+    return int(value)
 
 
 def cert_from_dict(data: dict) -> WitnessCertificate:
@@ -74,12 +93,12 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
     for key in ("class", "poly", "n", "factors"):
         if key not in data:
             raise ValueError(f"missing certificate field {key!r}")
-    poly = IntPoly(int(c) for c in data["poly"])
+    poly = IntPoly(_int(c) for c in data["poly"])
     return WitnessCertificate(
         poly=poly,
         class_tag=str(data["class"]),
-        n=int(data["n"]),
-        factors=tuple(int(f) for f in data["factors"]),
+        n=_int(data["n"]),
+        factors=tuple(_int(f) for f in data["factors"]),
         params={str(k): str(v) for k, v in dict(data.get("params", {})).items()},
         mode_hint=str(data.get("mode", "distinct")),
     )
@@ -209,7 +228,7 @@ def _cmd_verify(args, budget: int) -> int:
         if report.accepted:
             print(
                 f"cert {i}: ACCEPT rule={report.rule} n_digits="
-                f"{len(str(cert.n))} exponent={report.exponent}"
+                f"{decimal_digits(cert.n)} exponent={report.exponent}"
             )
         elif report.reason == "unverifiable":
             any_unverifiable = True
@@ -316,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(MAX_DIGITS)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

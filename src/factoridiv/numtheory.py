@@ -9,8 +9,10 @@ FactorizationBudgetError carrying whatever was already split off.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -364,6 +366,25 @@ def decimal_log_ratio(a: int, b: int, places: int = 4) -> Decimal:
         raise ValueError("need a >= 1 and b >= 2")
     with localcontext() as ctx:
         ctx.prec = 50
+        # Fast path.  math.log reads only the top bits of an int (beyond
+        # float range it takes log(m) + e*log(2) from a 53-bit frexp), so it
+        # costs the same at any size, where Decimal(a) is quadratic in the
+        # digits of a.  Each math.log of an int >= 2 is within a relative
+        # 2**-51 of the true value (the rounding of a or m, and one ulp of
+        # libm's log, against log a >= log 2); the quotient and the product
+        # by 10**places (an exact float for places <= 22) add 2**-53 each.
+        # So x is within 1.2e-15 * x of X = 10**places * ln a / ln b, and
+        # the 50-digit quotient below within about 1e-48 * X of it.  If x
+        # is farther than 1e-9 * (1 + x) from the half-integer k + 1/2
+        # (k = floor(x), so x - k is exact), X and the 50-digit quotient
+        # lie on the same side of it, and both round to the integer nearest
+        # x.  Every x near a tie, and every x >= 5e8 (where the band is
+        # wider than 1/2), takes the exact body below.
+        if 0 <= places <= 22:
+            x = math.log(a) / math.log(b) * 10**places
+            k = math.floor(x)
+            if abs(x - k - 0.5) > 1e-9 * (1 + x):
+                return Decimal(k + (x - k > 0.5)).scaleb(-places)
         val = Decimal(a).ln() / Decimal(b).ln()
         return val.quantize(Decimal(1).scaleb(-places))
 
@@ -374,3 +395,63 @@ def decimal_digits_upper(bits: int) -> int:
     """Upper estimate of the decimal digits of an integer of the given bit
     length, without str() (which is quadratic on huge integers)."""
     return bits * 30103 // 100000 + 1
+
+
+# The decimal conversions below are kept out of __all__ as well.  Strings of
+# at most _DIGIT_CHUNK digits go straight to int() and str(): no process may
+# set int_max_str_digits to a nonzero value below 640, so those calls never
+# depend on it.
+_DIGIT_CHUNK = 640
+
+
+# called only with _DIGIT_CHUNK * 2**j, so a few entries serve every integer
+@functools.lru_cache(maxsize=32)
+def _pow10(k: int) -> int:
+    return 10**k
+
+
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 0, without str(): the upper estimate from the
+    bit length, lowered while n is below the power of ten under it."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    d = decimal_digits_upper(n.bit_length())
+    # not cached: each n needs its own power, and holding it raises the
+    # peak memory of a verify run
+    while d > 1 and n < 10 ** (d - 1):
+        d -= 1
+    return d
+
+
+def int_from_digits(digits: str) -> int:
+    """int(digits) for a string of ASCII digits, at any length.
+
+    A long run splits into a low part of _DIGIT_CHUNK * 2**j digits and a
+    high part no longer than that, joined as hi * 10**len(lo) + lo, so
+    CPython's Karatsuba multiplication does the work: subquadratic, where
+    int() is quadratic on 3.11.  Only the leaves are sliced out."""
+
+    def parse(start: int, stop: int) -> int:
+        if stop - start <= _DIGIT_CHUNK:
+            return int(digits[start:stop])
+        k = _DIGIT_CHUNK
+        while 2 * k < stop - start:
+            k *= 2
+        return parse(start, stop - k) * _pow10(k) + parse(stop - k, stop)
+
+    return parse(0, len(digits))
+
+
+def decimal_str(n: int) -> str:
+    """str(n), also when n has more digits than the process's
+    int_max_str_digits allows; then it is converted _DIGIT_CHUNK digits at
+    a time."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or decimal_digits_upper(n.bit_length()) <= limit:
+        return str(n)
+    q, chunks = abs(n), []
+    while q >= _pow10(_DIGIT_CHUNK):
+        q, r = divmod(q, _pow10(_DIGIT_CHUNK))
+        chunks.append(f"{r:0{_DIGIT_CHUNK}d}")
+    chunks.append(str(q))
+    return "-" * (n < 0) + "".join(reversed(chunks))

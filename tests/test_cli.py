@@ -2,14 +2,20 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factoridiv
 from factoridiv import cli
-from factoridiv.construct import construct_quadratic
+from factoridiv.construct import (
+    construct_quadratic,
+    construct_quartic_cubic_linear,
+)
 from factoridiv.intpoly import IntPoly
 
 PQ = 10007 * 10009  # semiprime just above the trial division bound
@@ -96,6 +102,93 @@ def test_verify_version_and_field_handling(tmp_path, capsys):
     path = write_certs(tmp_path / "c.json", [missing])
     code, outtext, _ = run(["verify", path], capsys)
     assert code == 1 and "reason=malformed" in outtext
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# lengths around the splits of numtheory.int_from_digits (640 * 2**j)
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.sampled_from([0, 1, 5, 639, 640, 641, 1280, 1281, 2561, 5121]),
+    seed=st.integers(0, 2**32),
+    zeros=st.integers(0, 3),
+    sign=st.sampled_from(["", "+", "-"]),
+    pad=st.sampled_from(["", " ", "\t", "\n "]),
+    underscore=st.booleans(),
+    arabic_indic=st.booleans(),
+)
+def test_certificate_integers_parse_like_int(
+    length, seed, zeros, sign, pad, underscore, arabic_indic
+):
+    rng = random.Random(seed)
+    digits = "0" * zeros + "".join(rng.choices("0123456789", k=length))
+    if underscore and len(digits) > 2:
+        cut = rng.randrange(1, len(digits) - 1)
+        digits = digits[:cut] + rng.choice(["_", "__"]) + digits[cut:]
+    if arabic_indic:
+        digits = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    text = pad + sign + digits + pad
+    assert _outcome(cli._int, text) == _outcome(int, text)
+
+
+def test_huge_certificates_under_the_default_limit():
+    # a library caller keeps Python's 4300-digit int_max_str_digits; the
+    # first quartic-cl certificate of 1+x+x^2+x^3 and 1+x has 6177 digits
+    script = (
+        "import sys\n"
+        "from factoridiv import IntPoly, construct_quartic_cubic_linear\n"
+        "from factoridiv.cli import cert_from_dict, cert_to_dict\n"
+        "from factoridiv.numtheory import decimal_str\n"
+        "cert = construct_quartic_cubic_linear(IntPoly((1, 1, 1, 1)),\n"
+        "                                      IntPoly((1, 1)))[0]\n"
+        "entry = cert_to_dict(cert)\n"
+        "assert cert_from_dict(entry) == cert\n"
+        "bigs = [0, -(7 * 10**6000 + 3), 10**4300, 10**5120 - 1]\n"
+        "texts = [decimal_str(b) for b in bigs]\n"
+        "sys.set_int_max_str_digits(0)\n"
+        "assert entry['n'] == str(cert.n)\n"
+        "assert entry['factors'] == [str(f) for f in cert.factors]\n"
+        "assert texts == [str(b) for b in bigs]\n"
+        "print(sys.flags.int_max_str_digits, len(entry['n']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "-1 6177\n"
+
+
+def test_verify_prints_exact_digits_of_huge_n(tmp_path, capsys):
+    # the first quartic-cl certificate of 1+x+x^2+x^3 and 1+x
+    cert = construct_quartic_cubic_linear(
+        IntPoly((1, 1, 1, 1)), IntPoly((1, 1)))[0]
+    path = write_certs(tmp_path / "a.json", [cli.cert_to_dict(cert)])
+    code, outtext, _ = run(["verify", path], capsys)
+    assert code == 0
+    assert f" n_digits={len(str(cert.n))} " in outtext
+    assert len(str(cert.n)) == 6177
+
+
+def test_verify_rejects_n_beyond_the_format_bound(tmp_path, capsys):
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    entry["n"] = "1" + "0" * cli.MAX_DIGITS
+    code, outtext, _ = run(["verify", write_certs(tmp_path / "a.json", [entry])],
+                           capsys)
+    assert code == 1
+    assert outtext == (
+        "cert 0: REJECT reason=malformed (Exceeds the limit (2000000 digits) "
+        "for integer string conversion: value has 2000001 digits; use "
+        "sys.set_int_max_str_digits() to increase the limit)\n"
+    )
 
 
 def test_verify_needs_an_array(tmp_path, capsys):

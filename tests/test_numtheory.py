@@ -2,20 +2,27 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from factoridiv import numtheory
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import (
     BudgetExceededError,
     FactorizationBudgetError,
+    decimal_digits,
     decimal_log_ratio,
     divisors,
     euler_phi,
     factorize,
     find_prime_divisor_of_values,
+    int_from_digits,
     is_perfect_square,
     is_probable_prime,
     largest_prime_factor,
@@ -203,3 +210,112 @@ def test_decimal_log_ratio():
         got = decimal_log_ratio(a, b)
         ref = math.log(a) / math.log(b)
         assert abs(float(got) - ref) < 2e-4
+
+
+def _reference_log_ratio(a, b, places=4):
+    # the 50-digit Decimal body decimal_log_ratio falls back to
+    with localcontext() as ctx:
+        ctx.prec = 50
+        val = Decimal(a).ln() / Decimal(b).ln()
+        return val.quantize(Decimal(1).scaleb(-places))
+
+
+class _SpyDecimal(Decimal):
+    # counts Decimal.ln calls, which only the exact fallback makes
+    calls = 0
+
+    def ln(self, *args):
+        _SpyDecimal.calls += 1
+        return super().ln(*args)
+
+
+def _log_ratio_checked(a, b, places):
+    """decimal_log_ratio(a, b, places), equal to the reference in value,
+    str and repr; also returns whether the exact fallback ran."""
+    _SpyDecimal.calls = 0
+    with mock.patch.object(numtheory, "Decimal", _SpyDecimal):
+        got = decimal_log_ratio(a, b, places)
+    want = _reference_log_ratio(a, b, places)
+    assert (str(got), repr(got)) == (str(want), repr(want))
+    return _SpyDecimal.calls > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.just(1), st.integers(1, 10**6), st.integers(1, 2**20_000)),
+    b=st.one_of(st.integers(2, 10**6), st.integers(2, 2**20_000)),
+    places=st.integers(-2, 24),
+)
+@example(a=2, b=2**32, places=4)
+@example(a=1, b=2, places=0)
+@example(a=8, b=2, places=4)
+@example(a=10**40 - 1, b=10, places=4)
+def test_decimal_log_ratio_matches_50_digit_body(a, b, places):
+    _log_ratio_checked(a, b, places)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(2, 100),
+    k=st.integers(1, 15),
+    tie=st.sampled_from([(1, 32), (3, 32), (31, 32), (1, 160), (7, 160)]),
+)
+@example(c=2, k=1, tie=(1, 20_000))
+@example(c=3, k=1, tie=(3, 20_000))
+def test_decimal_log_ratio_ties_take_the_fallback(c, k, tie):
+    # log(c**(u*k)) / log(c**(v*k)) = u/v, and 10**4 * u/v is a half-integer
+    u, v = tie
+    assert _log_ratio_checked(c ** (u * k), c ** (v * k), 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    top=st.integers(1, 2**64),
+    low=st.integers(0, 2**64),
+    case=st.one_of(
+        st.tuples(st.integers(50_001, 52_000), st.just(2), st.just(4)),
+        st.tuples(st.integers(1000, 2000), st.integers(2, 7), st.just(7)),
+    ),
+)
+def test_decimal_log_ratio_large_x_takes_the_fallback(top, low, case):
+    # x = 10**places * log a / log b >= 5e8: the guard band is wider than 1/2
+    shift, b, places = case
+    assert _log_ratio_checked((top << shift) + low, b, places)
+
+
+def test_decimal_log_ratio_fast_path_is_taken():
+    assert not _log_ratio_checked(13, 239, 4)
+    assert not _log_ratio_checked(3**30_000 + 1, 2**20_000 + 3, 4)
+
+
+POWERS = list(range(1, 61)) + [100, 639, 640, 641, 4300, 4301, 12_345, 50_000]
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_decimal_digits_at_powers_of_ten(k):
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        assert decimal_digits(n) == len(str(n))
+
+
+def test_decimal_digits_small_and_negative():
+    for n in range(1000):
+        assert decimal_digits(n) == len(str(n))
+    with pytest.raises(ValueError):
+        decimal_digits(-1)
+
+
+# lengths around the splits of int_from_digits, which happen at 640 * 2**j
+SPLIT_LENGTHS = [1, 2, 639, 640, 641, 1279, 1280, 1281, 2559, 2560, 2561,
+                 5119, 5121, 10_241, 20_480]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.sampled_from(SPLIT_LENGTHS),
+    zeros=st.integers(0, 700),
+    seed=st.integers(0, 2**32),
+)
+def test_int_from_digits_matches_int(length, zeros, seed):
+    rng = random.Random(seed)
+    digits = "0" * zeros + "".join(rng.choices("0123456789", k=length))
+    assert int_from_digits(digits) == int(digits)

@@ -20,3 +20,22 @@ def test_no_assert_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_len_of_str_in_package():
+    # len(str(n)) is quadratic in the digits of n on Python 3.11; the
+    # package counts digits with numtheory.decimal_digits instead
+    found = []
+    for path in sorted(pathlib.Path(factoridiv.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "len"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Name)
+                and node.args[0].func.id == "str"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
