@@ -56,6 +56,7 @@ from .specialpoly import (
     chebyshev_t,
     chebyshev_t_value,
     cyclotomic,
+    cyclotomic_value,
 )
 
 __all__ = [
@@ -967,11 +968,39 @@ def construct_quartic_biquadratic(
 # binomial, cyclotomic and Chebyshev families
 
 
-def _check_n_digits(digits_est: int, max_n_digits: int, certs, report_extra):
+def _emit(certs, poly, tag, head, sel, s, ratio, bits, max_n_digits, split,
+          fallback) -> bool:
+    """The shared tail of the binomial, cyclotomic and Chebyshev families:
+    digit check, product identity, merge, certificate.
+
+    With N the product of sel.primes, n has at most about N * bits bits;
+    split(N) gives n and factor values that must multiply to P(n).  When
+    merging cannot give a distinct list, fallback(raw, merged) returns the
+    factors of a legendre certificate, or None to emit nothing (it may
+    also raise).  Returns whether a certificate was appended."""
+    if s < 2:
+        raise ValueError("each s must be at least 2")
+    n_value = math.prod(sel.primes)
+    digits_est = decimal_digits_upper(n_value * bits)
     if digits_est > max_n_digits:
-        report = {"reason": f"n would need about {digits_est} digits"}
-        report.update(report_extra)
-        raise ConstructionBudgetError(certs, report)
+        raise ConstructionBudgetError(certs, {
+            "reason": f"n would need about {digits_est} digits",
+            "class": tag, "N": str(n_value), "s": str(s),
+        })
+    n, raw = split(n_value)
+    _require(math.prod(raw) == poly.evaluate(n),
+             "factor values must multiply to P(n)")
+    merged = _merge_duplicates(raw, n)
+    if merged is not None and _distinct_ok(merged, n):
+        factors, mode = merged, "distinct"
+    else:
+        factors, mode = fallback(raw, merged), "legendre"
+        if factors is None:
+            return False
+    params = dict(head, s=str(s), ratio=str(Fraction(ratio)),
+                  primes=",".join(str(p) for p in sel.primes), N=str(n_value))
+    certs.append(WitnessCertificate(poly, tag, n, tuple(factors), params, mode))
+    return True
 
 
 def construct_binomial_power(
@@ -992,47 +1021,16 @@ def construct_binomial_power(
     if m < 1:
         raise ValueError("m must be positive")
     sel = _mertens_strict(2, m, ratio)
-    n_value = math.prod(sel.primes)
     certs: list[WitnessCertificate] = []
     poly = IntPoly((-1,) + (0,) * (m - 1) + (1,))
     for s in s_values:
-        if s < 2:
-            raise ValueError("each s must be at least 2")
-        # bit-length bound keeps the estimate in integers; n_value can be
-        # far too large for float conversion
-        _check_n_digits(
-            decimal_digits_upper(n_value * m * s.bit_length()),
-            max_n_digits,
-            certs,
-            {"class": "binomial_power", "N": str(n_value), "s": str(s)},
-        )
-        n = s**n_value
-        base = s**m
-        raw = [cyclotomic(d).evaluate(base) for d in divisors(n_value)]
-        _require(math.prod(raw) == poly.evaluate(n),
-                 "cyclotomic values must multiply to P(n)")
-        merged = _merge_duplicates(raw, n)
-        if merged is None:
-            factors, mode = raw, "legendre"
-        else:
-            factors = merged
-            mode = "distinct" if _distinct_ok(merged, n) else "legendre"
-        certs.append(
-            WitnessCertificate(
-                poly,
-                "binomial_power",
-                n,
-                tuple(factors),
-                {
-                    "m": str(m),
-                    "s": str(s),
-                    "ratio": str(Fraction(ratio)),
-                    "primes": ",".join(str(p) for p in sel.primes),
-                    "N": str(n_value),
-                },
-                mode,
-            )
-        )
+        # bit-length bound keeps the estimate in integers; N can be far
+        # too large for float conversion
+        _emit(certs, poly, "binomial_power", {"m": str(m)}, sel, s, ratio,
+              m * s.bit_length(), max_n_digits,
+              lambda nv: (s**nv, [cyclotomic_value(d, s**m)
+                                  for d in divisors(nv)]),
+              lambda raw, merged: raw if merged is None else merged)
     return certs
 
 
@@ -1057,47 +1055,16 @@ def construct_cyclotomic(
     poly = cyclotomic(m)
     certs: list[WitnessCertificate] = []
     for s in s_values:
-        if s < 2:
-            raise ValueError("each s must be at least 2")
         sel = base_sel
-        emitted = False
         for _ in range(max_extensions + 1):
-            n_value = math.prod(sel.primes)
-            _check_n_digits(
-                decimal_digits_upper(n_value * s.bit_length()),
-                max_n_digits,
-                certs,
-                {"class": "cyclotomic", "N": str(n_value), "s": str(s)},
-            )
-            n = s**n_value
-            raw = [
-                cyclotomic(m * d).evaluate(s)
-                for d in divisors(n_value)
-            ]
-            _require(math.prod(raw) == poly.evaluate(n),
-                     "cyclotomic values must multiply to P(n)")
-            merged = _merge_duplicates(raw, n)
-            if merged is not None and _distinct_ok(merged, n):
-                certs.append(
-                    WitnessCertificate(
-                        poly,
-                        "cyclotomic",
-                        n,
-                        tuple(merged),
-                        {
-                            "m": str(m),
-                            "s": str(s),
-                            "ratio": str(Fraction(ratio)),
-                            "primes": ",".join(str(p) for p in sel.primes),
-                            "N": str(n_value),
-                        },
-                        "distinct",
-                    )
-                )
-                emitted = True
+            if _emit(certs, poly, "cyclotomic", {"m": str(m)}, sel, s, ratio,
+                     s.bit_length(), max_n_digits,
+                     lambda nv: (s**nv, [cyclotomic_value(m * d, s)
+                                         for d in divisors(nv)]),
+                     lambda raw, merged: None):
                 break
             sel = _extend_selection(sel)
-        if not emitted:
+        else:
             raise ConstructionBudgetError(
                 certs,
                 {
@@ -1131,22 +1098,13 @@ def construct_chebyshev(
         raise ValueError("need a nonempty list of positive orders")
     big = max(ms)
     sel = _mertens_strict(next_prime(big + 1), 2 * euler_phi(big), ratio)
-    n_value = math.prod(sel.primes)
     poly = IntPoly((1,))
     for m in ms:
         poly = poly.multiply(chebyshev_t(m))
     tag = "chebyshev" if len(ms) == 1 else "chebyshev_product"
     certs: list[WitnessCertificate] = []
-    for s in s_values:
-        if s < 2:
-            raise ValueError("each s must be at least 2")
-        _check_n_digits(
-            decimal_digits_upper(n_value * max(ms) * (2 * s).bit_length()),
-            max_n_digits,
-            certs,
-            {"class": tag, "N": str(n_value), "s": str(s)},
-        )
-        n = chebyshev_t_value(n_value, s)
+
+    def split(n_value):
         all_vals: list[int] = []
         for m in ms:
             vals = [v for _, v in chebyshev_factor_values(m * n_value, s)]
@@ -1159,33 +1117,15 @@ def construct_chebyshev(
             _require(math.prod(vals) == chebyshev_t_value(m * n_value, s),
                      "psi values must multiply to T_mN(s)")
             all_vals.extend(vals)
-        _require(math.prod(all_vals) == poly.evaluate(n),
-                 "psi values must multiply to P(n)")
-        merged = _merge_duplicates(all_vals, n)
-        if merged is None or not _distinct_ok(merged, n):
-            raise ConstructionBudgetError(
-                certs,
-                {
-                    "class": tag,
-                    "reason": "factor merging could not stay below n",
-                    "s": str(s),
-                    "N": str(n_value),
-                },
-            )
-        certs.append(
-            WitnessCertificate(
-                poly,
-                tag,
-                n,
-                tuple(merged),
-                {
-                    "ms": ",".join(str(m) for m in ms),
-                    "s": str(s),
-                    "ratio": str(Fraction(ratio)),
-                    "primes": ",".join(str(p) for p in sel.primes),
-                    "N": str(n_value),
-                },
-                "distinct",
-            )
-        )
+        return chebyshev_t_value(n_value, s), all_vals
+
+    def clash(raw, merged):
+        raise ConstructionBudgetError(certs, {
+            "class": tag, "reason": "factor merging could not stay below n",
+            "s": str(s), "N": str(math.prod(sel.primes)),
+        })
+
+    for s in s_values:
+        _emit(certs, poly, tag, {"ms": ",".join(str(m) for m in ms)}, sel, s,
+              ratio, big * (2 * s).bit_length(), max_n_digits, split, clash)
     return certs

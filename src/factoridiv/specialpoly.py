@@ -1,13 +1,26 @@
 """Cyclotomic polynomials, their real halves, and Chebyshev polynomials.
 
-cyclotomic(n) divides x**n - 1 by the product of the lower cyclotomics,
-memoized.  That product is monic, so the division runs on plain integers
-(IntPoly.exact_divide never leaves Z for a divisor led by +-1).  Two
-classical identities keep the recursion on squarefree odd kernels so
-large even indices stay cheap:
+Everything cyclotomic here rests on the Moebius form of x**n - 1 =
+prod_{d | n} Phi_d(x):
 
-    Phi_{2m}(x)  = Phi_m(-x)        for odd m > 1
-    Phi_{pm}(x)  = Phi_m(x**p)      when the prime p already divides m
+    Phi_n(x) = prod_{e | n} (x**e - 1)**mu(n/e)
+
+Only the 2**omega(n) divisors e = n/k with k squarefree carry mu != 0.
+
+cyclotomic_value(n, b) applies it to an integer: the factors with
+mu = +1 and those with mu = -1 are multiplied separately and divided once,
+exactly.  The cost is 2**omega(n) powers b**e with e <= n, two products of
+them and one division whose quotient has about phi(n) * log2|b| bits; no
+polynomial is built.
+
+cyclotomic(n) applies it to a power series (Arnold and Monagan,
+"Calculating cyclotomic polynomials", Math. Comp. 80 (2011)).  For n > 1,
+Phi_n(x) = prod (1 - x**e)**mu(n/e), and each factor acts on the series
+cut at degree phi(n) + 1 in one pass over a list of ints: multiplying by
+1 - x**e subtracts the list shifted by e, dividing by it adds the running
+sums taken in steps of e.  That is O(phi(n) * 2**omega(n)) integer
+additions.  The product is a polynomial of degree phi(n), so a top
+coefficient other than 1, or a nonzero coefficient past it, raises.
 
 psi(n) is the integer polynomial of degree phi(n)/2 with
 psi(y + 1/y) * y**(phi(n)/2) = Phi_n(y); equivalently the minimal
@@ -24,13 +37,15 @@ python -O.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
+from operator import sub
 
 from .intpoly import IntPoly
 from .numtheory import divisors, factorize
 
 __all__ = [
     "cyclotomic",
+    "cyclotomic_value",
     "psi",
     "chebyshev_terms",
     "chebyshev_t",
@@ -38,47 +53,55 @@ __all__ = [
     "chebyshev_factor_values",
 ]
 
-_cyclo_cache: dict[int, IntPoly] = {}
+
+def _mobius_terms(n: int) -> list[tuple[int, int]]:
+    # (e, mu(n/e)) over the divisors e of n with n/e squarefree
+    terms = [(n, 1)]
+    for p, _ in factorize(n).factors:
+        terms += [(e // p, -mu) for e, mu in terms]
+    return terms
 
 
-def _cyclotomic_base(n: int) -> IntPoly:
-    # x**n - 1 divided by the product of Phi_d over proper divisors d.
-    if n == 1:
-        return IntPoly((-1, 1))
-    denom = IntPoly((1,))
-    for d in divisors(n)[:-1]:
-        denom = denom.multiply(cyclotomic(d))
-    xn1 = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-    q = xn1.exact_divide(denom)
-    if not isinstance(q, IntPoly):
-        raise ArithmeticError(f"cyclotomic recursion broke at {n}")
-    return q
+def cyclotomic_value(n: int, b: int) -> int:
+    """Phi_n(b) = prod_{e | n} (b**e - 1)**mu(n/e), by one exact division."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    if b in (-1, 0, 1):
+        # some b**e - 1 vanishes; the polynomial is cheap at these points
+        return cyclotomic(n).evaluate(b)
+    num = den = 1
+    for e, mu in _mobius_terms(n):
+        if mu > 0:
+            num *= b**e - 1
+        else:
+            den *= b**e - 1
+    out, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Moebius product for Phi_{n}({b}) is not exact")
+    return out
 
 
 def cyclotomic(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("index must be positive")
-    got = _cyclo_cache.get(n)
-    if got is not None:
-        return got
-    sf = 1  # squarefree kernel
-    rest = 1
-    for p, e in factorize(n).factors:
-        sf *= p
-        rest *= p ** (e - 1)
-    if sf != n:
-        inner = cyclotomic(sf)
-        out = inner.compose(IntPoly.monomial(rest))
-    elif n % 2 == 0 and n > 2:
-        m = n // 2  # odd and > 1 here since n is squarefree
-        inner = cyclotomic(m)
-        out = inner.compose(IntPoly((0, -1)))
-        if out.leading < 0:
-            out = out.negate()
-    else:
-        out = _cyclotomic_base(n)
-    _cyclo_cache[n] = out
-    return out
+    if n == 1:
+        return IntPoly((-1, 1))
+    terms = _mobius_terms(n)
+    top = sum(mu * e for e, mu in terms)  # phi(n)
+    a = [1] + [0] * (top + 1)
+    size = len(a)
+    for e, mu in terms:
+        if e >= size:
+            continue
+        if mu > 0:
+            a[e:] = map(sub, a[e:], a)
+        else:
+            for r in range(e):
+                a[r::e] = accumulate(a[r::e])
+    if a[top] != 1 or a[top + 1] != 0:
+        raise ArithmeticError(f"series for Phi_{n} is not a monic polynomial "
+                              f"of degree {top}")
+    return IntPoly(a)
 
 
 def psi(n: int) -> IntPoly:
@@ -98,14 +121,16 @@ def psi(n: int) -> IntPoly:
         raise ArithmeticError(f"Phi_{n} has odd degree")
     if any(c[m + k] != c[m - k] for k in range(1, m + 1)):
         raise ArithmeticError(f"Phi_{n} is not palindromic")
-    out = IntPoly((c[m],))
-    v_prev = IntPoly((2,))
-    v_cur = IntPoly((0, 1))
-    x = IntPoly((0, 1))
+    out = [c[m]] + [0] * m
+    v_prev, v_cur = [2], [0, 1]
     for k in range(1, m + 1):
-        out = out.add(v_cur.scale(c[m + k]))
-        v_prev, v_cur = v_cur, x.multiply(v_cur).subtract(v_prev)
-    return out
+        ck = c[m + k]
+        if ck:
+            out[: k + 1] = [o + ck * v for o, v in zip(out, v_cur)]
+        v_next = [0] + v_cur
+        v_next[:k] = map(sub, v_next, v_prev)
+        v_prev, v_cur = v_cur, v_next
+    return IntPoly(out)
 
 
 def chebyshev_terms():

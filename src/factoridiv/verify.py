@@ -43,17 +43,26 @@ class VerificationReport:
 
     margins maps each prime of the factorization (legendre rule only) to
     nu_p(n!) - nu_p(product), never negative on acceptance.
-    max_factor_ratio and exponent describe the largest factor relative
-    to n; exponent is log(max factor)/log(n) to four decimal places.
+    max_factor is the largest factor and n the certificate's n;
+    exponent is log(max factor)/log(n) to four decimal places, and
+    max_factor_ratio is max_factor/n, reduced only when asked for.
     """
 
     accepted: bool
     rule: str | None
     reason: str | None = None
     margins: dict = field(default_factory=dict)
-    max_factor_ratio: Fraction | None = None
+    max_factor: int | None = None
+    n: int | None = None
     exponent: str | None = None
     unverifiable_factor: int | None = None
+
+    @property
+    def max_factor_ratio(self) -> Fraction | None:
+        # a gcd of integers as large as n: only paid for on access
+        if self.max_factor is None:
+            return None
+        return Fraction(self.max_factor, self.n)
 
 
 def _report(cert: WitnessCertificate, rule: str, reason=None, **fields):
@@ -61,7 +70,7 @@ def _report(cert: WitnessCertificate, rule: str, reason=None, **fields):
     # size relative to n; it is accepted exactly when there is no reason
     mx = max(cert.factors)
     return VerificationReport(
-        reason is None, rule, reason, max_factor_ratio=Fraction(mx, cert.n),
+        reason is None, rule, reason, max_factor=mx, n=cert.n,
         exponent=str(decimal_log_ratio(mx, cert.n)), **fields,
     )
 

@@ -409,14 +409,31 @@ def test_binomial_smoothness_decreases_with_ratio():
 
 def test_binomial_wrong_cyclotomic_raises_arithmetic_error(monkeypatch):
     # the product identity is an explicit check, so it also runs under -O
-    real = construct.cyclotomic
+    real = construct.cyclotomic_value
 
-    def wrong(d):
-        return real(d) + 1 if d == 3 else real(d)
+    def wrong(d, b):
+        return real(d, b) + 1 if d == 3 else real(d, b)
 
-    monkeypatch.setattr(construct, "cyclotomic", wrong)
+    monkeypatch.setattr(construct, "cyclotomic_value", wrong)
     with pytest.raises(ArithmeticError, match="multiply to P"):
         construct_binomial_power(4, [2], Fraction(6, 5))
+
+
+def test_binomial_power_m5_pinned():
+    # N = 30030 and n = 2**30030; the digest is of the certificate JSON as
+    # the dense-polynomial cyclotomic layer produced it
+    import hashlib
+    import json
+
+    from factoridiv.cli import cert_to_dict
+
+    cert = construct_binomial_power(5, [2])[0]
+    assert cert.params["N"] == "30030"
+    assert verify(cert).accepted
+    text = json.dumps(cert_to_dict(cert), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1b80a9767f5faf7c4779e64509161a1399a4cb14c3f5961a84520f50d1988cf8"
+    )
 
 
 def test_binomial_input_validation():
@@ -442,6 +459,19 @@ def test_cyclotomic_first_order():
     assert_certificate_shape(cert, "cyclotomic")
     assert cert.n == 4 and cert.factors == (1, 3)
     assert verify(cert).accepted
+
+
+def test_cyclotomic_wrong_value_raises_arithmetic_error(monkeypatch):
+    # Phi_2(2**15) = prod of Phi_{2d}(2) over d | 15; a wrong Phi_6 value
+    # must trip the explicit product identity
+    real = construct.cyclotomic_value
+
+    def wrong(d, b):
+        return real(d, b) + 1 if d == 6 else real(d, b)
+
+    monkeypatch.setattr(construct, "cyclotomic_value", wrong)
+    with pytest.raises(ArithmeticError, match="multiply to P"):
+        construct_cyclotomic(2, [2])
 
 
 def test_cyclotomic_infeasible_orders_report_cleanly():

@@ -39,3 +39,24 @@ def test_no_len_of_str_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_specialpoly_builds_no_dense_composition():
+    # the cyclotomic layer works on integer lists and Moebius products; a
+    # compose call or Fraction arithmetic would bring back O(deg**2) steps
+    path = pathlib.Path(factoridiv.__file__).parent / "specialpoly.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compose"
+        ):
+            found.append(f"compose:{node.lineno}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if "Fraction" in names or "fractions" in names or (
+                getattr(node, "module", None) == "fractions"
+            ):
+                found.append(f"fractions:{node.lineno}")
+    assert found == []

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import euler_phi
@@ -11,6 +13,7 @@ from factoridiv.specialpoly import (
     chebyshev_t,
     chebyshev_t_value,
     cyclotomic,
+    cyclotomic_value,
     psi,
 )
 
@@ -138,3 +141,42 @@ def test_chebyshev_table_matches_single_terms(capsys):
         for s in (-2, 3, 7):
             assert poly.evaluate(s) == chebyshev_t_value(i, s)
 
+
+
+@given(st.integers(1, 500), st.integers(2, 10**6))
+def test_cyclotomic_value_matches_polynomial(d, b):
+    assert cyclotomic_value(d, b) == cyclotomic(d).evaluate(b)
+
+
+def test_cyclotomic_value_small_and_negative_bases():
+    # b in (-1, 0, 1) makes some b**e - 1 vanish; negative b keeps signs
+    for n in range(1, 61):
+        for b in range(-4, 5):
+            assert cyclotomic_value(n, b) == cyclotomic(n).evaluate(b)
+    with pytest.raises(ValueError):
+        cyclotomic_value(0, 2)
+
+
+def test_cyclotomic_value_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 201):
+        for b in (2, 7, -3):
+            assert cyclotomic_value(n, b) == int(sympy.cyclotomic_poly(n, b))
+
+
+def test_cyclotomic_product_identity_to_300():
+    # extends test_cyclotomic_product_identity_to_250
+    for n in range(251, 301):
+        prod = IntPoly.one()
+        for d in divisors(n):
+            prod = prod * cyclotomic(d)
+        assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
+
+
+def test_psi_defining_identity_to_200():
+    for n in range(3, 201):
+        half = euler_phi(n) // 2
+        assert psi(n).degree == half
+        for t in (Fraction(2), Fraction(5, 2)):
+            lhs = psi(n).evaluate_fraction(t + 1 / t) * t**half
+            assert lhs == cyclotomic(n).evaluate_fraction(t)
