@@ -1,5 +1,7 @@
 """Certificate constructors for every polynomial family."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factoridiv import construct
+from factoridiv.cli import cert_to_dict
 from factoridiv.construct import (
     ConstructionBudgetError,
     SchinzelInconsistency,
@@ -422,11 +425,6 @@ def test_binomial_wrong_cyclotomic_raises_arithmetic_error(monkeypatch):
 def test_binomial_power_m5_pinned():
     # N = 30030 and n = 2**30030; the digest is of the certificate JSON as
     # the dense-polynomial cyclotomic layer produced it
-    import hashlib
-    import json
-
-    from factoridiv.cli import cert_to_dict
-
     cert = construct_binomial_power(5, [2])[0]
     assert cert.params["N"] == "30030"
     assert verify(cert).accepted
