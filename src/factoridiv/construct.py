@@ -300,35 +300,17 @@ _TAUS_TOP = _tau_grid((1, 2, 4, 8), 16)
 _TAUS_WIDE = _tau_grid((1, 2, 3, 4, 8, 16), 48)
 
 
-def _lin_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
-_PERMS3 = (
-    ((0, 1, 2), 1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-    ((1, 0, 2), -1),
-)
-
-
-def _det3_linear(ent):
-    # determinant of a 3x3 matrix of degree-<=1 polynomials over Q
-    total = [Fraction(0)] * 4
-    for perm, sign in _PERMS3:
-        term = _lin_mul(
-            _lin_mul(ent[0][perm[0]], ent[1][perm[1]]), ent[2][perm[2]]
-        )
-        for k, v in enumerate(term):
-            total[k] += v if sign > 0 else -v
-    return total
+def _resolvent(m, a, b):
+    """Coefficients, lowest first, of det((a + b x) I - m) for a 3x3
+    integer matrix m."""
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = (
+        [(a if i == j else 0) - v for j, v in enumerate(row)]
+        for i, row in enumerate(m)
+    )
+    c12 = s11 * s22 - s12 * s21
+    minors = s00 * s11 - s01 * s10 + s00 * s22 - s02 * s20 + c12
+    det = s00 * c12 - s01 * (s10 * s22 - s12 * s20) + s02 * (s10 * s21 - s11 * s20)
+    return det, b * minors, b * b * (s00 + s11 + s22), b**3
 
 
 @dataclass(frozen=True)
@@ -354,93 +336,108 @@ class _EngineHit:
 #
 #   E  = -(Q2 delta**2 + 2 nu delta A P2 + nu**2 A**2)
 #   N1 = Q1 A delta**3 + 2 nu P1 A**2 delta**2 + nu A E
-#   N  = 4 A**2 delta**4 Q0 + 8 nu P0 A**3 delta**3 + E**2
-#        + 8 kappa A delta N1.
+#   N  = N0 + kappa 8 A delta N1,
+#   N0 = 4 A**2 delta**4 Q0 + 8 nu P0 A**3 delta**3 + E**2.
 #
 # The denominator of the last is a square, so d0 + 2 kappa d1 is a rational
 # square exactly when N >= 0 and isqrt(N)**2 == N, and then
-# r = isqrt(N) / (2 A**2 delta**2).  Fractions are built only for the tau
-# that pass.
+# r = isqrt(N) / (2 A**2 delta**2).  Only N depends on kappa, so one table
+# of rows (tau, E, N1, N0, 8 A delta N1) per cubic serves every kappa: the
+# level-1 search reuses it for kappa = 1 .. kappa_max, the level-2 search
+# for l = 1 .. l_max.  The survivors stay in integers too: with
+# D = 2 A**2 delta**2 the matrix D M_E is integral, and
+# det((g1 + 2 g2 x) D I - T D M_E) is D**3 times the resolvent over Q, so
+# both have the same primitive part.
+
+
+def _lowered(f: IntPoly):
+    """A, (P2, P1, P0) and (Q2, Q1, Q0) of the screen above."""
+    A = f.coefficient(3)
+    if A <= 0:
+        raise ValueError("need a positive leading coefficient")
+    P2, P1, P0 = -f.coefficient(2), -f.coefficient(1), -f.coefficient(0)
+    return A, (P2, P1, P0), (P2 * P2 + A * P1, P2 * P1 + A * P0, P2 * P0)
+
+
+def _tau_rows(f: IntPoly, taus):
+    """The kappa-free part of the screen: (tau, E, N1, N0, 8 A delta N1)
+    for each tau with N1 != 0; lead(f) must be positive."""
+    A, (P2, P1, P0), (Q2, Q1, Q0) = _lowered(f)
+    A2 = A * A
+    A3 = A2 * A
+    rows = []
+    for tau in taus:
+        nu, de = tau.numerator, tau.denominator
+        de2 = de * de
+        E = -(Q2 * de2 + 2 * nu * de * A * P2 + nu * nu * A2)
+        N1 = Q1 * A * de2 * de + 2 * nu * P1 * A2 * de2 + nu * A * E
+        if N1:
+            N0 = 4 * A2 * de2 * de2 * Q0 + 8 * nu * P0 * A3 * de2 * de + E * E
+            rows.append((tau, E, N1, N0, 8 * A * de * N1))
+    return rows
+
+
+def _square_rows(rows, kappa: int):
+    """Yield (row, isqrt(N)) for each row whose N is a perfect square."""
+    for row in rows:
+        N = row[3] + kappa * row[4]
+        if N >= 0:
+            root = math.isqrt(N)
+            if root * root == N:
+                yield row, root
 
 
 def _tau_screen(f: IntPoly, kappa: int, taus):
     """Yield (tau, e0, d1, r) for each tau with d1 != 0 and
     d0 + 2 kappa d1 = r**2 a rational square; lead(f) must be positive."""
     A = f.coefficient(3)
-    P2, P1, P0 = -f.coefficient(2), -f.coefficient(1), -f.coefficient(0)
-    Q2, Q1, Q0 = P2 * P2 + A * P1, P2 * P1 + A * P0, P2 * P0
-    A2 = A * A
-    A3 = A2 * A
-    for tau in taus:
-        nu, de = tau.numerator, tau.denominator
-        de2 = de * de
-        E = -(Q2 * de2 + 2 * nu * de * A * P2 + nu * nu * A2)
-        N1 = Q1 * A * de2 * de + 2 * nu * P1 * A2 * de2 + nu * A * E
-        if N1 == 0:
-            continue
-        N = (4 * A2 * de2 * de2 * Q0 + 8 * nu * P0 * A3 * de2 * de + E * E
-             + 8 * kappa * A * de * N1)
-        if N < 0:
-            continue
-        root = math.isqrt(N)
-        if root * root != N:
-            continue
-        yield (
-            tau,
-            Fraction(E, 2 * A2 * de2),
-            Fraction(N1, A3 * de2 * de),
-            Fraction(root, 2 * A2 * de2),
-        )
+    for (tau, E, N1, _, _), root in _square_rows(_tau_rows(f, taus), kappa):
+        de = tau.denominator
+        D = 2 * A * A * de * de
+        yield tau, Fraction(E, D), Fraction(N1, A * D * de // 2), Fraction(root, D)
 
 
-def _schinzel_candidates(f: IntPoly, kappa: int, taus):
-    """Yield verified splits of f(g(x)) in deterministic grid order."""
-    a = f.coefficient(3)
-    if a <= 0:
-        raise ValueError("need a positive leading coefficient")
-    p2, p1, p0 = (Fraction(-f.coefficient(i), a) for i in (2, 1, 0))
-    q2, q1, q0 = p2 * p2 + p1, p2 * p1 + p0, p2 * p0
-    for tau, e0, d1, r in _tau_screen(f, kappa, taus):
-        den = d1.denominator * r.denominator // math.gcd(
-            d1.denominator, r.denominator
-        )
-        T = None
-        for t in divisors(2 * den):
-            if (Fraction(t * t) * d1 / 4).denominator == 1 and (
-                t * r
-            ).denominator == 1:
-                T = Fraction(t)
-                break
-        if T is None:
-            # t = 2 * lcm of the denominators always qualifies
-            raise ArithmeticError(f"no integral scale T at tau = {tau}")
-        g2 = int(T * T * d1 / 4)
-        if g2 == 0:
-            continue
-        g1_mag = int(T * r)
-        mat = (
-            (e0, p0, tau * p0 + q0),
-            (tau, e0 + p1, tau * p1 + q1),
-            (Fraction(1), tau + p2, e0 + tau * p2 + q2),
-        )
-        for g1 in ((g1_mag, -g1_mag) if g1_mag else (0,)):
-            g = IntPoly((2 * kappa, g1, g2))
-            ent = [
-                [
-                    (
-                        (Fraction(g1) if i == j else Fraction(0)) - T * mat[i][j],
-                        Fraction(2 * g2) if i == j else Fraction(0),
-                    )
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-            det = _det3_linear(ent)
-            if all(v == 0 for v in det):
-                continue
-            _, f1 = fraction_content_split(det)
-            if f1.degree != 3:
-                continue
+def _e_matrix(f: IntPoly, tau: Fraction, E: int):
+    """D M_E with D = 2 A**2 delta**2, M_E the matrix of multiplication by
+    theta**2 + tau theta + e0 in Q[theta]/(f)."""
+    A, (P2, P1, P0), (Q2, Q1, Q0) = _lowered(f)
+    nu, de = tau.numerator, tau.denominator
+    ad, an = A * de, A * nu
+    return (
+        (E, 2 * ad * de * P0, 2 * de * (an * P0 + de * Q0)),
+        (2 * ad * an, E + 2 * ad * de * P1, 2 * de * (an * P1 + de * Q1)),
+        (2 * ad * ad, 2 * ad * (an + de * P2), E + 2 * de * (an * P2 + de * Q2)),
+    )
+
+
+def _split_guesses(f: IntPoly, kappa: int, row, root: int):
+    """(g, f1) for each sign of g1 at one screen survivor: g from the least
+    scale T, f1 the primitive resolvent, not yet checked to divide f(g)."""
+    tau, E, N1 = row[:3]
+    A, de = f.coefficient(3), tau.denominator
+    D = 2 * A * A * de * de  # e0 = E / D and r = root / D
+    d1_den = A * D * de // 2  # d1 = N1 / d1_den
+    den = math.lcm(d1_den // math.gcd(N1, d1_den), D // math.gcd(root, D))
+    for t in divisors(2 * den):
+        if t * t * N1 % (4 * d1_den) == 0 and t * root % D == 0:
+            break
+    else:
+        # t = 2 * lcm of the denominators always qualifies
+        raise ArithmeticError(f"no integral scale T at tau = {tau}")
+    g2 = t * t * N1 // (4 * d1_den)  # nonzero, as N1 is
+    g1_mag = t * root // D
+    tm = [[t * v for v in r] for r in _e_matrix(f, tau, E)]
+    for g1 in ((g1_mag, -g1_mag) if g1_mag else (0,)):
+        # the x**3 coefficient (2 g2 D)**3 is nonzero, so f1 is a cubic
+        f1 = IntPoly(_resolvent(tm, g1 * D, 2 * g2 * D)).content_split().primitive
+        yield IntPoly((2 * kappa, g1, g2)), f1
+
+
+def _schinzel_candidates(f: IntPoly, kappa: int, rows):
+    """Yield verified splits of f(g(x)) in deterministic grid order, from
+    rows = _tau_rows(f, taus)."""
+    for row, root in _square_rows(rows, kappa):
+        for g, f1 in _split_guesses(f, kappa, row, root):
             fg = f.compose(g)
             quot = fg.exact_divide(f1)
             if isinstance(quot, IntPoly):
@@ -459,7 +456,7 @@ def _schinzel_candidates(f: IntPoly, kappa: int, taus):
                 continue
             if f1.multiply(f2).scale(content) != fg:
                 continue
-            yield _EngineHit(tau, g, f1, f2, content)
+            yield _EngineHit(row[0], g, f1, f2, content)
 
 
 @dataclass(frozen=True)
@@ -518,7 +515,7 @@ def _display_formula(f: IntPoly, kappa: int):
     return g, f1, marker
 
 
-_TAUS_PUBLIC = _TAUS_TOP + tuple(t for t in _TAUS_WIDE if t not in set(_TAUS_TOP))
+_TAUS_PUBLIC = tuple(dict.fromkeys(_TAUS_TOP + _TAUS_WIDE))
 
 
 def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
@@ -558,7 +555,7 @@ def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
                 return _pack(
                     formula_g, formula_f1, split.primitive, split.content, Fraction(0)
                 )
-    for hit in _schinzel_candidates(poly, kappa, _TAUS_PUBLIC):
+    for hit in _schinzel_candidates(poly, kappa, _tau_rows(poly, _TAUS_PUBLIC)):
         return _pack(hit.g, hit.f1, hit.f2, hit.content, hit.tau)
     raise SchinzelInconsistency(poly, kappa, formula_g, formula_f1, len(_TAUS_PUBLIC))
 
@@ -592,33 +589,35 @@ class _LinkedInstance:
         return a * c
 
 
-def _side_pieces(cubic: IntPoly, l: int):
-    # first level-2 split with positive leading and negative linear
-    # coefficient of g, the sign pattern the Pell identity needs
-    for hit in _schinzel_candidates(cubic, l, _TAUS_WIDE):
-        if hit.g.coefficient(2) > 0 and hit.g.coefficient(1) < 0:
-            return hit
-    return None
-
-
 def _level1_variants(p: IntPoly, kappa_max: int, per_kappa: int):
+    rows = _tau_rows(p, _TAUS_TOP)
     out = []
     for kappa in range(1, kappa_max + 1):
-        for hit in itertools.islice(
-            _schinzel_candidates(p, kappa, _TAUS_TOP), per_kappa
-        ):
+        for hit in itertools.islice(_schinzel_candidates(p, kappa, rows), per_kappa):
             out.append((kappa, hit))
     return out
 
 
 def _linked_instances(p: IntPoly, kappa_max: int, l_max: int, per_kappa: int):
     variants = _level1_variants(p, kappa_max, per_kappa)
+    rows = {}  # wide-grid rows of each level-1 factor, shared by every l
+
+    def side(cubic, l):
+        # first level-2 split with positive leading and negative linear
+        # coefficient of g, the sign pattern the Pell identity needs
+        if cubic not in rows:
+            rows[cubic] = _tau_rows(cubic, _TAUS_WIDE)
+        for hit in _schinzel_candidates(cubic, l, rows[cubic]):
+            if hit.g.coefficient(2) > 0 and hit.g.coefficient(1) < 0:
+                return hit
+        return None
+
     for l in range(1, l_max + 1):
         for kappa, top in variants:
-            r_hit = _side_pieces(top.f1, l)
+            r_hit = side(top.f1, l)
             if r_hit is None:
                 continue
-            s_hit = _side_pieces(top.f2, l)
+            s_hit = side(top.f2, l)
             if s_hit is None:
                 continue
             inst = _LinkedInstance(kappa, top, l, r_hit, s_hit)

@@ -25,7 +25,8 @@ from factoridiv.construct import (
     construct_quartic_cubic_linear,
     schinzel_pieces,
 )
-from factoridiv.intpoly import IntPoly
+from factoridiv.intpoly import IntPoly, fraction_content_split
+from factoridiv.numtheory import divisors
 from factoridiv.specialpoly import chebyshev_t_value
 from factoridiv.verify import verify, verify_distinct
 
@@ -179,6 +180,166 @@ def test_integer_tau_screen_matches_fraction_screen(coeffs, kappa, taus):
 def test_integer_tau_screen_keeps_squares():
     # the property above is not vacuous: six wide-grid tau pass here
     assert len(list(construct._tau_screen(CUBIC_ONES, 2, construct._TAUS_WIDE))) == 6
+
+
+@settings(max_examples=10, deadline=None)
+@given(coeffs=st.lists(st.integers(1, 20), min_size=4, max_size=4))
+@example(coeffs=[1, 1, 1, 1])
+def test_one_tau_row_table_serves_every_kappa(coeffs):
+    f = IntPoly(coeffs)
+    a = f.coefficient(3)
+    table = construct._tau_rows(f, construct._TAUS_WIDE)
+    before = list(table)
+    for kappa in range(1, 7):
+        got = []
+        for (tau, e, n1, _, _), root in construct._square_rows(table, kappa):
+            de = tau.denominator
+            d = 2 * a * a * de * de
+            got.append(
+                (tau, Fraction(e, d), Fraction(n1, a**3 * de**3), Fraction(root, d))
+            )
+        assert got == fraction_screen(f, kappa, construct._TAUS_WIDE)
+    assert table == before
+
+
+def _lin_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+    return out
+
+
+_PERMS3 = (
+    ((0, 1, 2), 1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((0, 2, 1), -1),
+    ((2, 1, 0), -1),
+    ((1, 0, 2), -1),
+)
+
+
+def fraction_det3_linear(ent):
+    """Determinant of a 3x3 matrix of degree-<=1 polynomials over Q."""
+    total = [Fraction(0)] * 4
+    for perm, sign in _PERMS3:
+        term = _lin_mul(
+            _lin_mul(ent[0][perm[0]], ent[1][perm[1]]), ent[2][perm[2]]
+        )
+        for k, v in enumerate(term):
+            total[k] += v if sign > 0 else -v
+    return total
+
+
+def fraction_split_guesses(f, kappa, tau, e0, d1, r):
+    """Reference (g, f1) pairs at one screen survivor in Fraction
+    arithmetic: least scale T, the multiplication-by-E matrix over Q and a
+    permutation expansion of det((g1 + 2 g2 x) I - T M_E)."""
+    a = f.coefficient(3)
+    p2, p1, p0 = (Fraction(-f.coefficient(i), a) for i in (2, 1, 0))
+    q2, q1, q0 = p2 * p2 + p1, p2 * p1 + p0, p2 * p0
+    den = math.lcm(d1.denominator, r.denominator)
+    T = next(
+        Fraction(t) for t in divisors(2 * den)
+        if (t * t * d1 / 4).denominator == 1 and (t * r).denominator == 1
+    )
+    g2 = int(T * T * d1 / 4)
+    if g2 == 0:
+        return []
+    g1_mag = int(T * r)
+    mat = (
+        (e0, p0, tau * p0 + q0),
+        (tau, e0 + p1, tau * p1 + q1),
+        (Fraction(1), tau + p2, e0 + tau * p2 + q2),
+    )
+    out = []
+    for g1 in ((g1_mag, -g1_mag) if g1_mag else (0,)):
+        ent = [
+            [
+                (
+                    (Fraction(g1) if i == j else Fraction(0)) - T * mat[i][j],
+                    Fraction(2 * g2) if i == j else Fraction(0),
+                )
+                for j in range(3)
+            ]
+            for i in range(3)
+        ]
+        det = fraction_det3_linear(ent)
+        if all(v == 0 for v in det):
+            continue
+        _, f1 = fraction_content_split(det)
+        if f1.degree == 3:
+            out.append((IntPoly((2 * kappa, g1, g2)), f1))
+    return out
+
+
+def check_split_guesses(f, kappa):
+    """Compare the integer guesses with the Fraction reference at every
+    survivor of the public grid; return the number of survivors."""
+    rows = construct._tau_rows(f, construct._TAUS_PUBLIC)
+    survivors = list(construct._square_rows(rows, kappa))
+    screen = list(construct._tau_screen(f, kappa, construct._TAUS_PUBLIC))
+    assert [row[0] for row, _ in survivors] == [s[0] for s in screen]
+    for (row, root), rational in zip(survivors, screen):
+        got = list(construct._split_guesses(f, kappa, row, root))
+        assert got == fraction_split_guesses(f, kappa, *rational)
+    return len(survivors)
+
+
+def test_integer_resolvent_matches_fraction_determinant_on_cubic_ones():
+    # kappa <= 4 covers the level-1 search, kappa = l <= 30 the level-2 one
+    assert sum(check_split_guesses(CUBIC_ONES, k) for k in range(1, 31)) >= 30
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.integers(1, 30),
+    rest=st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+    kappa=st.integers(1, 30),
+)
+@example(lead=680, rest=[-1, 30, -300], kappa=1)  # a level-1 factor of x^3 + 5
+@example(lead=1, rest=[1, 1, 1], kappa=2)
+def test_integer_resolvent_matches_fraction_determinant(lead, rest, kappa):
+    check_split_guesses(IntPoly(rest + [lead]), kappa)
+
+
+def test_cubic_exhausted_pinned(monkeypatch):
+    # the bench op "cubic-exhausted": every level-1 and level-2 screen runs
+    # to the end, and each cubic's tau rows are built once
+    seen = []
+    rows = construct._tau_rows
+
+    def counted(f, taus):
+        seen.append(f)
+        return rows(f, taus)
+
+    monkeypatch.setattr(construct, "_tau_rows", counted)
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_cubic(IntPoly((5, 0, 0, 1)))
+    assert ei.value.partial == []
+    assert ei.value.report == {
+        "class": "cubic",
+        "reason": "exhausted 0 linked instances (kappa<=4, l<=30)",
+    }
+    assert len(seen) == len(set(seen)) > 1
+
+
+def _certs_digest(certs):
+    text = json.dumps([cert_to_dict(c) for c in certs], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cubic_pipeline_certificates_pinned():
+    # digests of the certificate JSON as the Fraction tau engine produced it
+    assert _certs_digest(construct_cubic(CUBIC_ONES, 6)) == (
+        "5237bcc874d934490cb159e2ef916b9588e246af21c33b597a66fdd252885c24"
+    )
+    certs = construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((1, 1)), 3)
+    assert _certs_digest(certs) == (
+        "ed277778639ee58e3f5ba9b64254620a1d3d3d001ef1b9e9e3945bc3ae5b0dcc"
+    )
 
 
 def test_schinzel_pieces_input_validation():

@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import factoridiv
+from factoridiv import construct
 
 
 def test_no_assert_in_package():
@@ -60,3 +64,36 @@ def test_specialpoly_builds_no_dense_composition():
             ):
                 found.append(f"fractions:{node.lineno}")
     assert found == []
+
+
+def test_import_hashes_few_fractions():
+    # every CLI call pays for the import; the tau grids are built once there
+    # and must not rehash a Fraction set once per element (29 216 calls)
+    script = (
+        "import fractions\n"
+        "calls = 0\n"
+        "plain = fractions.Fraction.__hash__\n"
+        "def counted(self):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return plain(self)\n"
+        "fractions.Fraction.__hash__ = counted\n"
+        "import factoridiv.cli\n"
+        "print(calls)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
+
+
+def test_public_tau_grid_order():
+    # the top grid first, then the wide grid's new values in wide-grid order
+    top = list(construct._TAUS_TOP)
+    want = top + [t for t in construct._TAUS_WIDE if t not in top]
+    assert list(construct._TAUS_PUBLIC) == want
+    assert len(set(want)) == len(want) == 352
