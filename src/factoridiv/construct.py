@@ -29,21 +29,21 @@ partial results and a structured report of what blocked the search.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, fraction_content_split
+from .intpoly import IntPoly
 from .numtheory import (
     BudgetExceededError,
-    MertensSelection,
+    _mertens_runs,
     decimal_digits_upper,
     divisors,
     euler_phi,
     find_prime_divisor_of_values,
     is_perfect_square,
-    next_prime,
 )
 from .pell import (
     PellBudgetError,
@@ -164,40 +164,11 @@ def _merge_duplicates(values: list[int], n: int):
             return None
         vals.remove(dup)
         vals.remove(dup)
-        lo = 0
-        hi = len(vals)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if vals[mid] < merged:
-                lo = mid + 1
-            else:
-                hi = mid
-        vals.insert(lo, merged)
+        bisect.insort(vals, merged)
 
 
 def _distinct_ok(values, n: int) -> bool:
     return len(set(values)) == len(values) and all(1 <= v < n for v in values)
-
-
-def _mertens_strict(min_prime: int, target, ratio) -> MertensSelection:
-    # like numtheory.mertens_select but with a strict inequality, so the
-    # downstream product comparisons have slack even on exact thresholds
-    threshold = Fraction(ratio) * Fraction(target)
-    primes: list[int] = []
-    prod = Fraction(1)
-    p = next_prime(max(min_prime, 2))
-    while not primes or prod <= threshold:
-        primes.append(p)
-        prod *= Fraction(p, p - 1)
-        p = next_prime(p + 1)
-    return MertensSelection(tuple(primes), prod, threshold)
-
-
-def _extend_selection(sel: MertensSelection) -> MertensSelection:
-    p = next_prime(sel.primes[-1] + 1)
-    return MertensSelection(
-        sel.primes + (p,), sel.product_value * Fraction(p, p - 1), sel.target
-    )
 
 
 # --------------------------------------------------------------------------
@@ -440,18 +411,12 @@ def _schinzel_candidates(f: IntPoly, kappa: int, rows):
         for g, f1 in _split_guesses(f, kappa, row, root):
             fg = f.compose(g)
             quot = fg.exact_divide(f1)
-            if isinstance(quot, IntPoly):
-                if quot.is_zero:
-                    continue
-                split = quot.content_split()
-                content, f2 = split.content, split.primitive
-            elif quot.exact_over_rationals:
-                cf, f2 = fraction_content_split(quot.quotient)
-                if cf.denominator != 1:
-                    continue
-                content = int(cf)
-            else:
+            # f1 is primitive, so by Gauss's lemma a quotient that is exact
+            # over Q is already in Z[x]: a DivisionReport is never usable
+            if not isinstance(quot, IntPoly) or quot.is_zero:
                 continue
+            split = quot.content_split()
+            content, f2 = split.content, split.primitive
             if f2.degree != 3:
                 continue
             if f1.multiply(f2).scale(content) != fg:
@@ -967,19 +932,42 @@ def construct_quartic_biquadratic(
 # binomial, cyclotomic and Chebyshev families
 
 
-def _emit(certs, poly, tag, head, sel, s, ratio, bits, max_n_digits, split,
+def _prime_run(min_prime: int, threshold: Fraction, sized, max_n_digits: int,
+               tag: str):
+    """The shortest run of consecutive primes from the least prime >=
+    min_prime with prod p/(p-1) > threshold (strict, so the product
+    identities downstream have slack), and the generator that extends it.
+
+    sized pairs each s with the bits of n per unit of N.  Once _emit would
+    refuse the run for every s, it would refuse every longer run too, so
+    the search stops there with ConstructionBudgetError."""
+    if any(s < 2 for s, _ in sized):
+        raise ValueError("each s must be at least 2")
+    if not sized:
+        return [], None
+    s, bits = min(sized, key=lambda pair: pair[1])
+    runs = _mertens_runs(min_prime)
+    for primes, num, den in runs:
+        if num * threshold.denominator > threshold.numerator * den:
+            return primes, runs
+        if decimal_digits_upper(num * bits) > max_n_digits:
+            raise ConstructionBudgetError([], {
+                "reason": f"n would need over {max_n_digits} digits before "
+                "prod p/(p-1) passes the target",
+                "class": tag, "s": str(s), "primes_chosen": str(len(primes))})
+
+
+def _emit(certs, poly, tag, head, primes, s, ratio, bits, max_n_digits, split,
           fallback) -> bool:
     """The shared tail of the binomial, cyclotomic and Chebyshev families:
     digit check, product identity, merge, certificate.
 
-    With N the product of sel.primes, n has at most about N * bits bits;
+    With N the product of primes, n has at most about N * bits bits;
     split(N) gives n and factor values that must multiply to P(n).  When
     merging cannot give a distinct list, fallback(raw, merged) returns the
     factors of a legendre certificate, or None to emit nothing (it may
     also raise).  Returns whether a certificate was appended."""
-    if s < 2:
-        raise ValueError("each s must be at least 2")
-    n_value = math.prod(sel.primes)
+    n_value = math.prod(primes)
     digits_est = decimal_digits_upper(n_value * bits)
     if digits_est > max_n_digits:
         raise ConstructionBudgetError(certs, {
@@ -997,7 +985,7 @@ def _emit(certs, poly, tag, head, sel, s, ratio, bits, max_n_digits, split,
         if factors is None:
             return False
     params = dict(head, s=str(s), ratio=str(Fraction(ratio)),
-                  primes=",".join(str(p) for p in sel.primes), N=str(n_value))
+                  primes=",".join(str(p) for p in primes), N=str(n_value))
     certs.append(WitnessCertificate(poly, tag, n, tuple(factors), params, mode))
     return True
 
@@ -1019,14 +1007,15 @@ def construct_binomial_power(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    sel = _mertens_strict(2, m, ratio)
+    # bit-length bound keeps the estimate in integers
+    sized = [(s, m * s.bit_length()) for s in s_values]
+    primes, _ = _prime_run(2, Fraction(ratio) * m, sized, max_n_digits,
+                           "binomial_power")
     certs: list[WitnessCertificate] = []
     poly = IntPoly((-1,) + (0,) * (m - 1) + (1,))
-    for s in s_values:
-        # bit-length bound keeps the estimate in integers; N can be far
-        # too large for float conversion
-        _emit(certs, poly, "binomial_power", {"m": str(m)}, sel, s, ratio,
-              m * s.bit_length(), max_n_digits,
+    for s, bits in sized:
+        _emit(certs, poly, "binomial_power", {"m": str(m)}, primes, s, ratio,
+              bits, max_n_digits,
               lambda nv: (s**nv, [cyclotomic_value(d, s**m)
                                   for d in divisors(nv)]),
               lambda raw, merged: raw if merged is None else merged)
@@ -1050,30 +1039,27 @@ def construct_cyclotomic(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    base_sel = _mertens_strict(next_prime(m + 1), euler_phi(m), ratio)
+    sized = [(s, s.bit_length()) for s in s_values]
+    primes, runs = _prime_run(m + 1, Fraction(ratio) * euler_phi(m), sized,
+                              max_n_digits, "cyclotomic")
+    base = len(primes)
     poly = cyclotomic(m)
     certs: list[WitnessCertificate] = []
-    for s in s_values:
-        sel = base_sel
-        for _ in range(max_extensions + 1):
-            if _emit(certs, poly, "cyclotomic", {"m": str(m)}, sel, s, ratio,
-                     s.bit_length(), max_n_digits,
+    for s, bits in sized:
+        for k in range(base, base + max_extensions + 1):
+            if k > len(primes):
+                next(runs)
+            if _emit(certs, poly, "cyclotomic", {"m": str(m)}, primes[:k], s,
+                     ratio, bits, max_n_digits,
                      lambda nv: (s**nv, [cyclotomic_value(m * d, s)
                                          for d in divisors(nv)]),
                      lambda raw, merged: None):
                 break
-            sel = _extend_selection(sel)
         else:
-            raise ConstructionBudgetError(
-                certs,
-                {
-                    "class": "cyclotomic",
-                    "reason": f"no valid prime run within {max_extensions} "
-                    "extensions",
-                    "m": str(m),
-                    "s": str(s),
-                },
-            )
+            raise ConstructionBudgetError(certs, {
+                "class": "cyclotomic", "m": str(m), "s": str(s),
+                "reason": f"no valid prime run within {max_extensions} "
+                "extensions"})
     return certs
 
 
@@ -1096,11 +1082,13 @@ def construct_chebyshev(
     if not ms or any(m < 1 for m in ms):
         raise ValueError("need a nonempty list of positive orders")
     big = max(ms)
-    sel = _mertens_strict(next_prime(big + 1), 2 * euler_phi(big), ratio)
+    tag = "chebyshev" if len(ms) == 1 else "chebyshev_product"
+    sized = [(s, big * (2 * s).bit_length()) for s in s_values]
+    primes, _ = _prime_run(big + 1, Fraction(ratio) * 2 * euler_phi(big),
+                           sized, max_n_digits, tag)
     poly = IntPoly((1,))
     for m in ms:
         poly = poly.multiply(chebyshev_t(m))
-    tag = "chebyshev" if len(ms) == 1 else "chebyshev_product"
     certs: list[WitnessCertificate] = []
 
     def split(n_value):
@@ -1121,10 +1109,10 @@ def construct_chebyshev(
     def clash(raw, merged):
         raise ConstructionBudgetError(certs, {
             "class": tag, "reason": "factor merging could not stay below n",
-            "s": str(s), "N": str(math.prod(sel.primes)),
+            "s": str(s), "N": str(math.prod(primes)),
         })
 
-    for s in s_values:
-        _emit(certs, poly, tag, {"ms": ",".join(str(m) for m in ms)}, sel, s,
-              ratio, big * (2 * s).bit_length(), max_n_digits, split, clash)
+    for s, bits in sized:
+        _emit(certs, poly, tag, {"ms": ",".join(str(m) for m in ms)}, primes,
+              s, ratio, bits, max_n_digits, split, clash)
     return certs

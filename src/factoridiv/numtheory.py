@@ -13,7 +13,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -318,22 +318,31 @@ class MertensSelection:
     target: Fraction
 
 
+def _mertens_runs(min_prime: int):
+    """Yield (primes, num, den) for ever longer runs of consecutive primes
+    from the least prime >= min_prime, with num / den = prod p/(p-1) and
+    num the product of the primes.  primes is one list, grown in place."""
+    primes: list[int] = []
+    num = den = 1
+    p = next_prime(min_prime)
+    while True:
+        primes.append(p)
+        num *= p
+        den *= p - 1
+        yield primes, num, den
+        p = next_prime(p + 1)
+
+
 def mertens_select(
     min_prime: int, target, ratio=Fraction(1)
 ) -> MertensSelection:
     """Shortest run p1 < p2 < ... of consecutive primes >= min_prime with
     prod p/(p-1) >= ratio * target.  Always selects at least one prime.
-    Exact rational arithmetic throughout."""
-    threshold = Fraction(ratio) * Fraction(target)
-    primes: list[int] = []
-    prod = Fraction(1)
-    p = next_prime(max(min_prime, 2))
-    while True:
-        primes.append(p)
-        prod *= Fraction(p, p - 1)
-        if prod >= threshold:
-            return MertensSelection(tuple(primes), prod, threshold)
-        p = next_prime(p + 1)
+    Exact integer arithmetic throughout."""
+    t = Fraction(ratio) * Fraction(target)
+    primes, num, den = next(run for run in _mertens_runs(min_prime)
+                            if run[1] * t.denominator >= t.numerator * run[2])
+    return MertensSelection(tuple(primes), Fraction(num, den), t)
 
 
 def find_prime_divisor_of_values(

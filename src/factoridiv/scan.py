@@ -245,7 +245,7 @@ def scan_parallel(
                           division_budget=division_budget)
     from concurrent.futures import ProcessPoolExecutor
 
-    # the cost per value is flat, so equal chunks are balanced
+    # later chunks cost more: each finds its own roots, sieves to stop**theta
     bounds = [start + total * i // jobs for i in range(jobs)] + [stop + 1]
     tasks = [
         (tuple(poly.coeffs), bounds[i], bounds[i + 1] - 1,

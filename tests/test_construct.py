@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factoridiv import construct
+import factoridiv
+from factoridiv import construct, numtheory
 from factoridiv.cli import cert_to_dict
 from factoridiv.construct import (
     ConstructionBudgetError,
@@ -667,6 +671,89 @@ def test_chebyshev_infeasible_orders_report_cleanly():
     with pytest.raises(ConstructionBudgetError) as ei:
         construct_chebyshev([2, 3], [2])
     assert "digits" in ei.value.report["reason"]
+
+
+# n = s**N (or T_N(s)) has at least 2 bits per unit of N for every s >= 2,
+# so it passes the 100 000-digit budget once N > 166 096; a run of k primes
+# has N >= 2**k, so the selector stops within 18 primes, and cyclotomic may
+# read 6 more as extensions
+@pytest.mark.parametrize("m", range(1, 41))
+@pytest.mark.parametrize("family", ["binomial", "cyclotomic", "chebyshev"])
+def test_selection_ends_within_the_digit_budget(family, m, monkeypatch):
+    real = numtheory.next_prime
+    steps = 0
+
+    def counted(n):
+        nonlocal steps
+        steps += 1
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "next_prime", counted)
+    build = {
+        "binomial": lambda s: construct_binomial_power(m, [s]),
+        "cyclotomic": lambda s: construct_cyclotomic(m, [s]),
+        "chebyshev": lambda s: construct_chebyshev([m], [s]),
+    }[family]
+    for s in (2, 3, 10):
+        steps = 0
+        try:
+            assert build(s)
+        except ConstructionBudgetError as exc:
+            assert len(json.dumps(exc.report)) < 1024
+            if "primes_chosen" in exc.report:
+                assert "digits" in exc.report["reason"]
+                assert "N" not in exc.report
+        assert steps <= 18 + 6
+
+
+def test_digit_stop_reads_the_s_of_fewest_bits():
+    # 2**30 alone would stop the search at 5 primes; s = 2 still fits at the
+    # full run N = 30030, so its certificate comes first, then the report
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_binomial_power(5, [2, 2**30])
+    assert [c.params["s"] for c in ei.value.partial] == ["2"]
+    assert ei.value.report["N"] == "30030"
+    assert ei.value.report["s"] == str(2**30)
+    # at 5 primes n = 2**2310 has at most 6954 digits, which is not over a
+    # budget of 6954, so the run completes and _emit refuses N = 30030
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_binomial_power(5, [2], max_n_digits=6954)
+    assert ei.value.report["N"] == "30030"
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_binomial_power(5, [2], max_n_digits=6953)
+    assert ei.value.report["primes_chosen"] == "5"
+
+
+def test_cyclotomic_extensions_restart_for_each_s():
+    # s = 2 needs one extension past the run (3,); s = 3 does not
+    certs = construct_cyclotomic(2, [2, 3, 2])
+    assert [c.params["primes"] for c in certs] == ["3,5", "3", "3,5"]
+
+
+def test_stopped_selection_reports_at_the_default_str_limit():
+    # a library caller keeps Python's 4300-digit int_max_str_digits; a
+    # report must not format an N of thousands of digits
+    script = (
+        "import sys\n"
+        "from factoridiv.construct import (ConstructionBudgetError,\n"
+        "    construct_binomial_power, construct_cyclotomic)\n"
+        "for build, m in ((construct_binomial_power, 17),\n"
+        "                 (construct_cyclotomic, 8)):\n"
+        "    try:\n"
+        "        build(m, [2])\n"
+        "    except ConstructionBudgetError as exc:\n"
+        "        print(sys.get_int_max_str_digits(), sorted(exc.report))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = "4300 ['class', 'primes_chosen', 'reason', 's']\n"
+    assert proc.stdout == line * 2
 
 
 def test_chebyshev_input_validation():

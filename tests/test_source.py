@@ -66,6 +66,23 @@ def test_specialpoly_builds_no_dense_composition():
     assert found == []
 
 
+def test_construct_leaves_prime_selection_to_numtheory():
+    # one Mertens selector: construct reads numtheory's prime runs and
+    # neither walks the primes itself nor defines a selector of its own
+    path = pathlib.Path(construct.__file__)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "next_prime":
+                found.append(f"next_prime:{node.lineno}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            "mertens" in node.name.lower()
+        ):
+            found.append(f"{node.name}:{node.lineno}")
+    assert found == []
+
+
 def test_import_hashes_few_fractions():
     # every CLI call pays for the import; the tau grids are built once there
     # and must not rehash a Fraction set once per element (29 216 calls)
