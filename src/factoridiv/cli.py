@@ -32,7 +32,7 @@ from .numtheory import (
     decimal_str,
     int_from_digits,
 )
-from .scan import record_json, scan_parallel
+from .scan import record_json, scan_range
 from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
 
@@ -74,9 +74,12 @@ def cert_to_dict(cert: WitnessCertificate) -> dict:
 
 
 def _int(value) -> int:
+    # a JSON float or boolean is no integer, though int() would take it
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
     # plain digit strings within the format bound parse in subquadratic time
-    # and whatever int_max_str_digits is; every other value, over-long
-    # strings included, goes to int() with its syntax and error messages
+    # and whatever int_max_str_digits is; every other string, over-long ones
+    # included, goes to int() with its syntax and error messages
     if (isinstance(value, str) and len(value) <= MAX_DIGITS
             and value.isascii() and value.isdigit()):
         return int_from_digits(value)
@@ -93,6 +96,9 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
     for key in ("class", "poly", "n", "factors"):
         if key not in data:
             raise ValueError(f"missing certificate field {key!r}")
+    for key in ("poly", "factors"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"certificate field {key!r} must be an array")
     poly = IntPoly(_int(c) for c in data["poly"])
     return WitnessCertificate(
         poly=poly,
@@ -251,8 +257,8 @@ def _cmd_scan(args) -> int:
     # the library default resolves every value; FACTORIDIV_BUDGET is the
     # factoring budget of construct and verify, not a sieve cap
     cap = {} if args.budget is None else {"division_budget": args.budget}
-    records, summary = scan_parallel(
-        poly, args.start, args.stop, theta, args.jobs, **cap
+    records, summary = scan_range(
+        poly, args.start, args.stop, theta, jobs=args.jobs, **cap
     )
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -320,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sca.add_argument("--to", dest="stop", type=int, required=True)
     sca.add_argument("--theta", required=True, help="exponent as j/k")
     sca.add_argument("--jobs", type=int, default=1,
-                     help="worker processes, at most the CPU count")
+                     help="worker processes that sieve runs of 4096-value "
+                     "windows; at most the CPU count and the window count")
     sca.add_argument("--budget", type=int, default=None,
                      help="cap on the sieve primes per value; values that "
                      "need more are counted unresolved (default: no cap)")

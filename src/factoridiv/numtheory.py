@@ -1,5 +1,5 @@
 """Integer utilities: primality, factorization with budgets, Legendre
-valuations of factorials, and Mertens-style prime run selection.
+valuations of factorials, and the prime runs of Mertens-style selection.
 
 Factorization is trial division over a small sieve followed by Brent's
 variant of Pollard rho.  Rho work is metered by an iteration budget so
@@ -15,13 +15,11 @@ import random
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 __all__ = [
     "BudgetExceededError",
     "FactorizationBudgetError",
     "PrimeFactorization",
-    "MertensSelection",
     "sieve_primes",
     "is_probable_prime",
     "next_prime",
@@ -32,7 +30,6 @@ __all__ = [
     "largest_prime_factor",
     "euler_phi",
     "divisors",
-    "mertens_select",
     "find_prime_divisor_of_values",
     "decimal_log_ratio",
     "DEFAULT_FACTOR_BUDGET",
@@ -308,16 +305,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class MertensSelection:
-    """A run of consecutive primes whose product of p/(p-1) clears a
-    threshold, with the shorter run falling below it (minimality)."""
-
-    primes: tuple[int, ...]
-    product_value: Fraction
-    target: Fraction
-
-
 def _mertens_runs(min_prime: int):
     """Yield (primes, num, den) for ever longer runs of consecutive primes
     from the least prime >= min_prime, with num / den = prod p/(p-1) and
@@ -331,18 +318,6 @@ def _mertens_runs(min_prime: int):
         den *= p - 1
         yield primes, num, den
         p = next_prime(p + 1)
-
-
-def mertens_select(
-    min_prime: int, target, ratio=Fraction(1)
-) -> MertensSelection:
-    """Shortest run p1 < p2 < ... of consecutive primes >= min_prime with
-    prod p/(p-1) >= ratio * target.  Always selects at least one prime.
-    Exact integer arithmetic throughout."""
-    t = Fraction(ratio) * Fraction(target)
-    primes, num, den = next(run for run in _mertens_runs(min_prime)
-                            if run[1] * t.denominator >= t.numerator * run[2])
-    return MertensSelection(tuple(primes), Fraction(num, den), t)
 
 
 def find_prime_divisor_of_values(

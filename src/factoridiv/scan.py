@@ -26,14 +26,22 @@ pi(t_n) > division_budget, where pi counts the primes.  Since t_n grows
 with n, the unresolved values are a suffix of the range; the scanner
 finds where it starts and never sieves it, though vacuous values in it
 are still hits.  A budget of at least pi(t_cap) resolves every value.
+
+jobs > 1 deals the windows to worker processes, one contiguous run of
+windows per worker.  The roots are found once, in the calling process,
+and the records come back in window order, so the output does not depend
+on jobs.  jobs is clamped to the CPU count and to the number of windows:
+a range of one window is sieved in-process whatever jobs is.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .construct import WitnessCertificate
 from .intpoly import IntPoly
@@ -43,7 +51,6 @@ __all__ = [
     "ScanRecord",
     "ScanSummary",
     "scan_range",
-    "scan_parallel",
     "record_json",
     "certificate_smoothness",
 ]
@@ -114,8 +121,9 @@ def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     return roots
 
 
-def _sieve_window(poly: IntPoly, lo: int, hi: int, roots, j: int, k: int):
-    """The hits among n in [lo, hi], in order, as ScanRecords."""
+def _sieve_window(poly: IntPoly, roots, j: int, k: int, window):
+    """The hits among n in window = (lo, hi), in order, as ScanRecords."""
+    lo, hi = window
     values = _values(poly, lo, hi)
     # f(n) = 0 would never divide out; as 1 it takes no division, and it
     # is a vacuous hit whatever the sieve records for it
@@ -149,6 +157,7 @@ def scan_range(
     stop: int,
     theta: Fraction,
     *,
+    jobs: int = 1,
     division_budget: int = 5_000_000,
 ) -> tuple[list[ScanRecord], ScanSummary]:
     """Scan n in [start, stop] and record every hit.
@@ -157,7 +166,11 @@ def scan_range(
     pi(floor(n**theta)) > division_budget is counted unresolved and never
     recorded, unless |f(n)| <= 1 (a vacuous hit).  Those values form a
     suffix of the range.  With division_budget >= pi(floor(stop**theta))
-    every value is resolved."""
+    every value is resolved.
+
+    jobs is the number of worker processes that sieve the windows; it is
+    clamped to the CPU count and to the number of windows, and the result
+    does not depend on it."""
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be strictly between 0 and 1")
@@ -167,6 +180,8 @@ def scan_range(
         raise ValueError("empty range")
     if division_budget < 0:
         raise ValueError("division_budget must be non-negative")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     j, k = theta.numerator, theta.denominator
     primes = sieve_primes(_integer_kth_root(stop**j, k))
     cut = stop + 1  # the first unresolved n
@@ -177,10 +192,23 @@ def scan_range(
         q = primes[division_budget]
         cut = max(start, _integer_kth_root(q**k - 1, j) + 1)
         del primes[division_budget:]
-    records: list[ScanRecord] = []
     roots = _prime_roots(poly, start, cut - 1, primes)
-    for lo in range(start, cut, _WINDOW):
-        records += _sieve_window(poly, lo, min(lo + _WINDOW, cut) - 1, roots, j, k)
+    windows = [(lo, min(lo + _WINDOW, cut) - 1)
+               for lo in range(start, cut, _WINDOW)]
+    jobs = min(jobs, os.cpu_count() or 1, len(windows))
+    sieve = partial(_sieve_window, poly, roots, j, k)
+    if jobs > 1:
+        # imported here: every CLI call would pay for the import otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one contiguous run of windows per worker, so the roots are
+        # pickled once per worker
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            batches = list(pool.map(sieve, windows,
+                                    chunksize=-(-len(windows) // jobs)))
+    else:
+        batches = map(sieve, windows)
+    records = [rec for batch in batches for rec in batch]
     unresolved = 0
     for n in range(cut, stop + 1):
         value = poly.evaluate(n)
@@ -194,80 +222,6 @@ def scan_range(
         hits=len(records),
         unresolved=unresolved,
         min_exponent=str(min(exps)) if exps else None,
-    )
-    return records, summary
-
-
-def _scan_chunk(args):
-    coeffs, start, stop, num, den, division_budget = args
-    records, summary = scan_range(
-        IntPoly(coeffs),
-        start,
-        stop,
-        Fraction(num, den),
-        division_budget=division_budget,
-    )
-    return (
-        [(r.n, r.value, r.p_plus, r.exponent) for r in records],
-        (summary.examined, summary.hits, summary.unresolved, summary.min_exponent),
-    )
-
-
-def _clamp_jobs(jobs: int, cpus: int | None, size: int) -> int:
-    """Worker processes for a scan of size values: no more than asked for,
-    than there are CPUs (cpus, None when unknown) or than there are values."""
-    return max(1, min(jobs, cpus or 1, size))
-
-
-def scan_parallel(
-    poly: IntPoly,
-    start: int,
-    stop: int,
-    theta: Fraction,
-    jobs: int,
-    *,
-    division_budget: int = 5_000_000,
-) -> tuple[list[ScanRecord], ScanSummary]:
-    """Same result as scan_range, computed in contiguous chunks.
-
-    jobs is clamped to the CPU count and to the range size.  Chunks
-    partition [start, stop] in order, so the merged record list is
-    identical to the sequential one."""
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    import os
-
-    theta = Fraction(theta)
-    total = stop - start + 1
-    jobs = _clamp_jobs(jobs, os.cpu_count(), total)
-    if jobs == 1:
-        return scan_range(poly, start, stop, theta,
-                          division_budget=division_budget)
-    from concurrent.futures import ProcessPoolExecutor
-
-    # later chunks cost more: each finds its own roots, sieves to stop**theta
-    bounds = [start + total * i // jobs for i in range(jobs)] + [stop + 1]
-    tasks = [
-        (tuple(poly.coeffs), bounds[i], bounds[i + 1] - 1,
-         theta.numerator, theta.denominator, division_budget)
-        for i in range(jobs)
-    ]
-    records: list[ScanRecord] = []
-    examined = hits = unresolved = 0
-    minima: list[Decimal] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for recs, summ in pool.map(_scan_chunk, tasks):
-            records.extend(ScanRecord(*r) for r in recs)
-            examined += summ[0]
-            hits += summ[1]
-            unresolved += summ[2]
-            if summ[3] is not None:
-                minima.append(Decimal(summ[3]))
-    summary = ScanSummary(
-        examined=examined,
-        hits=hits,
-        unresolved=unresolved,
-        min_exponent=str(min(minima)) if minima else None,
     )
     return records, summary
 

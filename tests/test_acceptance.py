@@ -28,7 +28,7 @@ from factoridiv.construct import (
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import euler_phi, nu_p_factorial, sieve_primes, valuation
 from factoridiv.pell import fundamental_solution, indices_with_s_divisible
-from factoridiv.scan import certificate_smoothness, record_json, scan_parallel, scan_range
+from factoridiv.scan import certificate_smoothness, record_json, scan_range
 from factoridiv.specialpoly import (
     chebyshev_factor_values,
     chebyshev_t,
@@ -278,14 +278,14 @@ def test_a09_scanner():
     assert {r.n: r.p_plus for r in records} == expected
     assert expected[239] == 13
 
-    par_records, par_summary = scan_parallel(X2P1, 2, 10_000, theta, 4)
+    par_records, par_summary = scan_range(X2P1, 2, 10_000, theta, jobs=4)
     assert [record_json(r) for r in par_records] == [
         record_json(r) for r in records
     ]
     assert par_summary == summary
     print(f"[PASS] a09 scanner: {summary.hits} hits match the factorization "
           f"oracle on [2, 10000], n=239 hit with P+=13, {elapsed:.2f}s "
-          f"single-threaded, 4-way run byte-identical")
+          f"single-threaded, jobs=4 run byte-identical")
 
 
 def test_a10_soundness_sweep():

@@ -191,6 +191,22 @@ def test_verify_rejects_n_beyond_the_format_bound(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 21.9),  # int() would truncate it to the true n = 21
+    ("factors", [2.0, 13.5, 17]),
+    ("poly", [True, False, True]),
+    ("poly", "101"),  # iterated, it would read as 1 + x**2
+])
+def test_verify_rejects_non_integer_json(field, value, tmp_path, capsys):
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    entry[field] = value
+    code, outtext, _ = run(["verify", write_certs(tmp_path / "a.json", [entry])],
+                           capsys)
+    assert code == 1
+    assert outtext.startswith("cert 0: REJECT reason=malformed (")
+    assert outtext.count("\n") == 1
+
+
 def test_verify_needs_an_array(tmp_path, capsys):
     path = tmp_path / "notarray.json"
     path.write_text('{"v": 1}')

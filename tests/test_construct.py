@@ -544,6 +544,30 @@ def test_pell_constructors_raise_arithmetic_error(monkeypatch, build):
 # -- binomial, cyclotomic, Chebyshev families --------------------------------
 
 
+def _mertens_product(primes):
+    return math.prod(Fraction(p, p - 1) for p in primes)
+
+
+def test_prime_run_minimality():
+    cases = [
+        (2, Fraction(2), [2, 3]),  # 2/1 = 2 is not above 2: strict
+        (2, Fraction(4), [2, 3, 5, 7]),
+        (1, Fraction(9, 8), [2]),
+        (5, Fraction(3, 2), None),
+        (8, Fraction(2), None),
+    ]
+    for min_prime, threshold, want in cases:
+        primes, _ = construct._prime_run(min_prime, threshold, [(2, 1)],
+                                         10**100, "binomial_power")
+        assert want is None or primes == want
+        assert primes[0] == numtheory.next_prime(min_prime)
+        assert all(b == numtheory.next_prime(a + 1)
+                   for a, b in zip(primes, primes[1:]))
+        # the shortest such run: without its last prime it is not above
+        assert (_mertens_product(primes[:-1]) <= threshold
+                < _mertens_product(primes))
+
+
 def test_binomial_power_anchor():
     cert = construct_binomial_power(2, [2])[0]
     assert_certificate_shape(cert, "binomial_power")

@@ -1,9 +1,8 @@
-"""Primes, factorization, valuations, Mertens selection."""
+"""Primes, factorization, valuations, divisors of polynomial values."""
 
 import math
 import random
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -26,7 +25,6 @@ from factoridiv.numtheory import (
     is_perfect_square,
     is_probable_prime,
     largest_prime_factor,
-    mertens_select,
     next_prime,
     nu_p_factorial,
     sieve_primes,
@@ -162,24 +160,6 @@ def test_divisors_ascending():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     with pytest.raises(ValueError):
         divisors(0)
-
-
-def test_mertens_select_minimality():
-    sel = mertens_select(2, 2)
-    assert sel.primes == (2,)
-    assert sel.product_value == Fraction(2)
-    sel = mertens_select(2, 4)
-    assert sel.primes == (2, 3, 5, 7)
-    # dropping the last prime falls below the threshold
-    short = Fraction(1)
-    for p in sel.primes[:-1]:
-        short *= Fraction(p, p - 1)
-    assert short < sel.target <= sel.product_value
-    sel = mertens_select(5, Fraction(3, 2))
-    assert sel.primes[0] == 5
-    assert all(b == next_prime(a + 1) for a, b in zip(sel.primes, sel.primes[1:]))
-    # ratio scales the target
-    assert mertens_select(2, 2, ratio=Fraction(2)).target == Fraction(4)
 
 
 def test_find_prime_divisor_of_values():

@@ -1,5 +1,7 @@
 """Smoothness scanning over polynomial values."""
 
+import concurrent.futures
+import os
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,14 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factoridiv.construct import construct_quadratic
+from factoridiv import scan
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import decimal_log_ratio, sieve_primes
 from factoridiv.scan import (
     ScanRecord,
-    _clamp_jobs,
     certificate_smoothness,
     record_json,
-    scan_parallel,
     scan_range,
 )
 
@@ -96,19 +97,7 @@ def test_scan_input_validation():
     with pytest.raises(ValueError):
         scan_range(X2P1, 2, 10, Fraction(3, 2))
     with pytest.raises(ValueError):
-        scan_parallel(X2P1, 2, 10, THETA, 0)
-
-
-def test_parallel_byte_identical():
-    seq_records, seq_summary = scan_range(X2P1, 2, 3_000, THETA)
-    par_records, par_summary = scan_parallel(X2P1, 2, 3_000, THETA, 4)
-    assert [record_json(r) for r in par_records] == [
-        record_json(r) for r in seq_records
-    ]
-    assert par_summary == seq_summary
-    # degenerate splits fall back to the sequential path
-    few_records, few_summary = scan_parallel(X2P1, 2, 4, THETA, 8)
-    assert few_summary.examined == 3
+        scan_range(X2P1, 2, 10, THETA, jobs=0)
 
 
 def test_record_json_format():
@@ -194,7 +183,7 @@ def test_scan_quartic_across_windows():
     records, summary = scan_range(x4m1, 2, 9_000, theta)
     assert records == oracle_scan(x4m1, 2, 9_000, theta)
     assert summary.unresolved == 0
-    par_records, par_summary = scan_parallel(x4m1, 2, 9_000, theta, 2)
+    par_records, par_summary = scan_range(x4m1, 2, 9_000, theta, jobs=2)
     assert [record_json(r) for r in par_records] == [
         record_json(r) for r in records
     ]
@@ -232,11 +221,103 @@ def test_scan_budget_keeps_vacuous_hits():
     assert summary.unresolved == 3
 
 
-def test_clamp_jobs():
-    assert _clamp_jobs(8, 2, 100) == 2
-    assert _clamp_jobs(2, 16, 100) == 2
-    assert _clamp_jobs(10**9, 64, 3) == 3
-    assert _clamp_jobs(4, None, 100) == 1
-    assert _clamp_jobs(3, 8, 1) == 1
-    # a huge request starts no more workers than there are values
-    assert scan_parallel(X2P1, 2, 3, THETA, 10**9) == scan_range(X2P1, 2, 3, THETA)
+class FakePool:
+    """A stand-in for ProcessPoolExecutor that maps in-process and keeps
+    the worker count and chunk size it was given."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        FakePool.started.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return FakePool.started
+
+
+# ranges of three to five sieve windows: a plain one, a division_budget
+# cut inside the fifth window, and a line whose values -1, 0, 1 at
+# n = 8999, 9000, 9001 are vacuous hits inside the third window
+POOL_CASES = [
+    (X2P1, 2, 12_000, THETA, {}),
+    (X2P1, 2, 20_000, THETA, {"division_budget": 50}),
+    (IntPoly((-9_000, 1)), 2, 12_000, Fraction(1, 2), {}),
+]
+
+
+@pytest.mark.parametrize("poly, start, stop, theta, cap", POOL_CASES,
+                         ids=["plain", "budget-cut", "vacuous"])
+def test_jobs_give_identical_results(poly, start, stop, theta, cap, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    want = scan_range(poly, start, stop, theta, **cap)
+    for jobs in (2, 3):
+        assert scan_range(poly, start, stop, theta, jobs=jobs, **cap) == want
+    records, summary = want
+    windows = -(-(stop - start + 1) // scan._WINDOW)
+    assert windows >= 3 and len(records) > 0
+    if cap:
+        cut = stop + 1 - summary.unresolved
+        assert start + 4 * scan._WINDOW < cut < start + 5 * scan._WINDOW
+    if poly.degree == 1:
+        assert {r.n for r in records if r.p_plus == 1} == {8_999, 9_000, 9_001}
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 10**9, 2),
+    (64, 10**9, 3),  # [2, 12000] is three windows
+    (8, 2, 2),
+])
+def test_workers_are_clamped(cpus, jobs, workers, fake_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = scan_range(X2P1, 2, 12_000, THETA, jobs=jobs)
+    assert [pool.max_workers for pool in fake_pool] == [workers]
+    # one contiguous run of windows per worker
+    assert fake_pool[0].chunksize == -(-3 // workers)
+    assert got == scan_range(X2P1, 2, 12_000, THETA)
+
+
+@pytest.mark.parametrize("cpus", [None, 1])
+def test_unknown_or_one_cpu_starts_no_pool(cpus, fake_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    scan_range(X2P1, 2, 12_000, THETA, jobs=10**9)
+    assert fake_pool == []
+
+
+def test_one_window_starts_no_pool(fake_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert scan_range(X2P1, 2, 3_000, THETA, jobs=4) == scan_range(
+        X2P1, 2, 3_000, THETA)
+    assert scan_range(X2P1, 2, 3, THETA, jobs=10**9) == scan_range(
+        X2P1, 2, 3, THETA)
+    # a budget of 0 leaves no window to sieve
+    assert scan_range(X2P1, 100, 20_000, THETA, jobs=4,
+                      division_budget=0)[1].unresolved == 19_901
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_roots_found_once_per_scan(jobs, monkeypatch):
+    calls = []
+    real = scan._prime_roots
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(scan, "_prime_roots", counted)
+    scan_range(X2P1, 2, 12_000, THETA, jobs=jobs)
+    assert calls == [(2, 12_000)]

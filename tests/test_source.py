@@ -108,6 +108,25 @@ def test_import_hashes_few_fractions():
     assert int(proc.stdout) < 2000
 
 
+def test_import_starts_no_pool_machinery():
+    # every CLI call pays for the import; scan --jobs imports the process
+    # pool only when it starts one
+    script = (
+        "import sys\n"
+        "import factoridiv.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_public_tau_grid_order():
     # the top grid first, then the wide grid's new values in wide-grid order
     top = list(construct._TAUS_TOP)
