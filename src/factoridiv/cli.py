@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sca.add_argument("--theta", required=True, help="exponent as j/k")
     sca.add_argument("--jobs", type=int, default=1,
                      help="worker processes that sieve runs of 4096-value "
-                     "windows; at most the CPU count and the window count")
+                     "windows; at most the CPU count and one per 64 windows, "
+                     "so a range under 128 windows runs in-process")
     sca.add_argument("--budget", type=int, default=None,
                      help="cap on the sieve primes per value; values that "
                      "need more are counted unresolved (default: no cap)")

@@ -332,7 +332,8 @@ def _lowered(f: IntPoly):
 
 def _tau_rows(f: IntPoly, taus):
     """The kappa-free part of the screen: (tau, E, N1, N0, 8 A delta N1)
-    for each tau with N1 != 0; lead(f) must be positive."""
+    for each tau with N1 != 0 whose N can be a square for some kappa >= 1;
+    lead(f) must be positive."""
     A, (P2, P1, P0), (Q2, Q1, Q0) = _lowered(f)
     A2 = A * A
     A3 = A2 * A
@@ -344,7 +345,10 @@ def _tau_rows(f: IntPoly, taus):
         N1 = Q1 * A * de2 * de + 2 * nu * P1 * A2 * de2 + nu * A * E
         if N1:
             N0 = 4 * A2 * de2 * de2 * Q0 + 8 * nu * P0 * A3 * de2 * de + E * E
-            rows.append((tau, E, N1, N0, 8 * A * de * N1))
+            step = 8 * A * de * N1
+            # N1 < 0 and N < 0 at kappa = 1 give N < 0 at every kappa >= 1
+            if N1 > 0 or N0 + step >= 0:
+                rows.append((tau, E, N1, N0, step))
     return rows
 
 

@@ -7,11 +7,15 @@ floating point).
 The scanner is a root sieve, as in the quadratic sieve (Pomerance 1982;
 Crandall & Pomerance, Prime Numbers, sections 3.2 and 6.1).  For each
 prime p <= t_cap = floor(stop**(j/k)) it finds once the residues r with
-f(r) = 0 (mod p), reading them off the first p values of the range.
-Then it walks n = r (mod p) through contiguous windows of _WINDOW
-values, divides p out of f(n) completely at each step, and records p as
-the current P+; primes run in ascending order, so the last one recorded
-is the largest.  After the sieve a cofactor of 1 means every prime factor
+f(r) = 0 (mod p).  For p up to _CZ_FROM, or a range that short, it reads
+them off the first p values of the range; above, modp.roots_mod splits
+f mod p by Cantor-Zassenhaus (Math. Comp. 36, 1981) with the shifts
+a = 0, 1, 2, ..., so root finding costs O(deg**2 log p) per prime, not
+O(p), and uses no randomness.  Either way the residues come in the
+order the range meets them.  Then it walks n = r (mod p) through
+contiguous windows of _WINDOW values, divides p out of f(n) completely at
+each step, and records p as the current P+; primes run in ascending
+order, so the last one recorded is the largest.  After the sieve a cofactor of 1 means every prime factor
 is known, and the value is a hit iff P+**k < n**j.  A cofactor above 1
 has a prime factor above t_cap >= t_n = floor(n**(j/k)), so P+**k > n**j
 and the value is certainly not a hit.  No value is misclassified, and no
@@ -30,8 +34,10 @@ are still hits.  A budget of at least pi(t_cap) resolves every value.
 jobs > 1 deals the windows to worker processes, one contiguous run of
 windows per worker.  The roots are found once, in the calling process,
 and the records come back in window order, so the output does not depend
-on jobs.  jobs is clamped to the CPU count and to the number of windows:
-a range of one window is sieved in-process whatever jobs is.
+on jobs.  jobs is clamped to the CPU count and so that each worker gets
+at least _POOL_WINDOWS windows, below which a pool costs more than it
+saves: a range of fewer than 2 * _POOL_WINDOWS windows is sieved
+in-process whatever jobs is.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, repeat
 
 from .construct import WitnessCertificate
 from .intpoly import IntPoly
@@ -58,6 +65,20 @@ __all__ = [
 # values per sieve window: small enough to keep memory flat, large enough
 # that the per-window cost of walking every root stays small
 _WINDOW = 1 << 12
+
+# the fewest windows per worker process.  Below it starting the pool and
+# pickling the records cost more than the split sieve saves.  On 2 CPUs,
+# for x**2 + 1 at theta = 14/25 (the cheapest windows), two workers beat
+# one in every paired run from 80 windows each up; below, the break-even
+# moved between 49 and 80 windows each with the host's load
+_POOL_WINDOWS = 64
+
+# the roots mod p of primes up to this are listed from the values of f,
+# above it found by Cantor-Zassenhaus: listing costs min(p, range length)
+# reductions, splitting about log2(p) polynomial squarings per split.  On
+# quadratics to quartics splitting was 0.6-1.0 times as fast as listing
+# near p = 500, 1.0-1.7 times near 1000 and 1.3-2.2 times near 1500
+_CZ_FROM = 1500
 
 
 @dataclass(frozen=True)
@@ -96,26 +117,50 @@ def _integer_kth_root(x: int, k: int) -> int:
 
 
 def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
-    """f(n) for n in [lo, hi], by one Horner pass per coefficient."""
-    ns = range(lo, hi + 1)
-    *rest, lead = poly.coeffs or (0,)
-    values = [lead] * len(ns)
-    for c in reversed(rest):
-        values = [v * n + c for v, n in zip(values, ns)]
-    return values
+    """f(n) for n in [lo, hi]: Horner at the first deg f + 1 values, then
+    the constant (deg f)-th difference summed up deg f times, each pass one
+    C-level accumulate."""
+    d = max(len(poly.coeffs) - 1, 0)
+    first = [poly.evaluate(n) for n in range(lo, min(hi, lo + d) + 1)]
+    if hi - lo <= d:
+        return first
+    diffs = []  # f(lo) and its forward differences up to order d
+    while first:
+        diffs.append(first[0])
+        first = [b - a for a, b in zip(first, first[1:])]
+    values = repeat(diffs.pop(), hi - lo + 1 - d)
+    for x in reversed(diffs):
+        values = accumulate(values, initial=x)
+    return list(values)
 
 
 def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     """(p, residues r with f(r) = 0 mod p) for each of the primes that
-    divides some f(n) with n in [start, stop]."""
-    # p consecutive values of n meet every residue class mod p once; a
-    # range shorter than p meets only the classes of its own values
-    last = min(stop, start + primes[-1] - 1) if primes else start - 1
+    divides some f(n) with n in [start, stop], the residues in the order
+    the range meets them, that is by (r - start) mod p."""
+    size = stop - start + 1
+    # listing reads f at the first min(p, size) values of the range: p
+    # consecutive values meet every residue class mod p once, a range
+    # shorter than p only the classes of its own values.  Splitting needs
+    # an odd p, so primes p <= deg f (p = 2 among them) are listed too
+    lim = max(_CZ_FROM, len(poly.coeffs) - 1)
+    last = min(stop, start + min(lim, primes[-1]) - 1) if primes else start - 1
     head = _values(poly, start, last)
+    if primes and min(size, primes[-1]) > lim:
+        # imported here: a scan that lists every root, like most CLI
+        # calls, would pay for compiling it otherwise
+        from .modp import roots_mod
     roots = []
     for p in primes:
-        residues = [(start + i) % p
-                    for i in range(min(p, len(head))) if not head[i] % p]
+        m = min(p, size)
+        if m <= lim:
+            residues = [(start + i) % p for i in range(m) if not head[i] % p]
+        elif any(f := [c % p for c in poly.coeffs]):
+            residues = sorted((r for r in roots_mod(f, p)
+                               if (r - start) % p < size),
+                              key=lambda r: (r - start) % p)
+        else:  # p divides every coefficient
+            residues = [(start + i) % p for i in range(m)]
         if residues:
             roots.append((p, residues))
     return roots
@@ -169,8 +214,8 @@ def scan_range(
     every value is resolved.
 
     jobs is the number of worker processes that sieve the windows; it is
-    clamped to the CPU count and to the number of windows, and the result
-    does not depend on it."""
+    clamped to the CPU count and to one worker per _POOL_WINDOWS windows,
+    and the result does not depend on it."""
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be strictly between 0 and 1")
@@ -195,7 +240,7 @@ def scan_range(
     roots = _prime_roots(poly, start, cut - 1, primes)
     windows = [(lo, min(lo + _WINDOW, cut) - 1)
                for lo in range(start, cut, _WINDOW)]
-    jobs = min(jobs, os.cpu_count() or 1, len(windows))
+    jobs = min(jobs, os.cpu_count() or 1, len(windows) // _POOL_WINDOWS)
     sieve = partial(_sieve_window, poly, roots, j, k)
     if jobs > 1:
         # imported here: every CLI call would pay for the import otherwise

@@ -17,6 +17,7 @@ rule only when the sole obstruction is a duplicated factor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,7 +115,9 @@ def verify_legendre(
     if mismatch is not None:
         return mismatch
     totals: dict[int, int] = {}
-    for f in cert.factors:
+    # each distinct factor is factored once, in list order, and weighted
+    # by its multiplicity
+    for f, times in Counter(cert.factors).items():
         if f == 1:
             continue
         try:
@@ -122,7 +125,7 @@ def verify_legendre(
         except FactorizationBudgetError:
             return _report(cert, "legendre", "unverifiable", unverifiable_factor=f)
         for p, e in fac.factors:
-            totals[p] = totals.get(p, 0) + e
+            totals[p] = totals.get(p, 0) + e * times
     margins = {}
     for p, e in sorted(totals.items()):
         cap = nu_p_factorial(p, cert.n)

@@ -206,6 +206,45 @@ def test_one_tau_row_table_serves_every_kappa(coeffs):
     assert table == before
 
 
+def unpruned_tau_rows(f, taus):
+    """_tau_rows without dropping the rows whose N is negative at every
+    kappa >= 1."""
+    a, b, c, d = (f.coefficient(i) for i in (3, 2, 1, 0))
+    q2, q1, q0 = b * b - a * c, b * c - a * d, b * d
+    rows = []
+    for tau in taus:
+        nu, de = tau.numerator, tau.denominator
+        e = -(q2 * de**2 - 2 * nu * de * a * b + nu**2 * a**2)
+        n1 = q1 * a * de**3 - 2 * nu * c * a**2 * de**2 + nu * a * e
+        if n1:
+            n0 = 4 * a**2 * de**4 * q0 - 8 * nu * d * a**3 * de**3 + e * e
+            rows.append((tau, e, n1, n0, 8 * a * de * n1))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lead=st.integers(1, 30),
+    rest=st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+)
+@example(lead=1, rest=[5, 0, 0])  # x^3 + 5, the bench op "cubic-exhausted"
+def test_pruned_tau_rows_keep_every_square(lead, rest):
+    # rows are built tau by tau, and the wide grid holds the top one
+    f = IntPoly(rest + [lead])
+    rows = construct._tau_rows(f, construct._TAUS_WIDE)
+    full = unpruned_tau_rows(f, construct._TAUS_WIDE)
+    assert all(row in full for row in rows)
+    for kappa in range(1, 61):
+        assert list(construct._square_rows(rows, kappa)) == list(
+            construct._square_rows(full, kappa))
+
+
+def test_pruning_drops_rows_of_x3_plus_5():
+    f = IntPoly((5, 0, 0, 1))
+    rows = construct._tau_rows(f, construct._TAUS_WIDE)
+    assert len(rows) < len(unpruned_tau_rows(f, construct._TAUS_WIDE))
+
+
 def _lin_mul(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):

@@ -176,7 +176,7 @@ def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
     assert summary.min_exponent == (str(min(exps)) if exps else None)
 
 
-def test_scan_quartic_across_windows():
+def test_scan_quartic_across_windows(monkeypatch):
     x4m1 = IntPoly((-1, 0, 0, 0, 1))
     theta = Fraction(3, 4)
     # 8999 values span three sieve windows
@@ -188,6 +188,9 @@ def test_scan_quartic_across_windows():
         record_json(r) for r in records
     ]
     assert par_summary == summary
+    # roots split by Cantor-Zassenhaus for every prime above deg f
+    monkeypatch.setattr(scan, "_CZ_FROM", 0)
+    assert scan_range(x4m1, 2, 9_000, theta) == (records, summary)
 
 
 def test_scan_budget_suffix():
@@ -263,6 +266,7 @@ POOL_CASES = [
                          ids=["plain", "budget-cut", "vacuous"])
 def test_jobs_give_identical_results(poly, start, stop, theta, cap, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
     want = scan_range(poly, start, stop, theta, **cap)
     for jobs in (2, 3):
         assert scan_range(poly, start, stop, theta, jobs=jobs, **cap) == want
@@ -283,6 +287,7 @@ def test_jobs_give_identical_results(poly, start, stop, theta, cap, monkeypatch)
 ])
 def test_workers_are_clamped(cpus, jobs, workers, fake_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
     got = scan_range(X2P1, 2, 12_000, THETA, jobs=jobs)
     assert [pool.max_workers for pool in fake_pool] == [workers]
     # one contiguous run of windows per worker
@@ -311,6 +316,7 @@ def test_one_window_starts_no_pool(fake_pool, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_roots_found_once_per_scan(jobs, monkeypatch):
+    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
     calls = []
     real = scan._prime_roots
 
@@ -321,3 +327,69 @@ def test_roots_found_once_per_scan(jobs, monkeypatch):
     monkeypatch.setattr(scan, "_prime_roots", counted)
     scan_range(X2P1, 2, 12_000, THETA, jobs=jobs)
     assert calls == [(2, 12_000)]
+
+
+def test_range_under_break_even_starts_no_pool(fake_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(scan, "_WINDOW", 64)  # the real break-even, cheaper
+    # the last range that runs in-process, 2 * _POOL_WINDOWS - 1 windows
+    stop = 1 + (2 * scan._POOL_WINDOWS - 1) * scan._WINDOW
+    want = scan_range(X2P1, 2, stop, Fraction(1, 3))
+    for jobs in (2, 10**9):
+        assert scan_range(X2P1, 2, stop, Fraction(1, 3), jobs=jobs) == want
+    assert fake_pool == []
+    # one window more gives two workers
+    scan_range(X2P1, 2, stop + scan._WINDOW, Fraction(1, 3), jobs=10**9)
+    assert [pool.max_workers for pool in fake_pool] == [2]
+
+
+def listed_roots(poly, start, stop, primes):
+    """The residues of each prime, listed from the values of the range."""
+    ns = range(start, min(stop, start + primes[-1] - 1) + 1)
+    values = [poly.evaluate(n) for n in ns]
+    out = []
+    for p in primes:
+        residues = [n % p for n, v in zip(ns[:p], values) if not v % p]
+        if residues:
+            out.append((p, residues))
+    return out
+
+
+PRIMES_2000 = sieve_primes(2_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
+    p=st.sampled_from(PRIMES_2000),
+    shape=st.sampled_from(["plain", "content", "lead", "square"]),
+    r=st.integers(-50, 50),
+    start=st.integers(2, 3_000),
+    length=st.integers(0, 2_500),
+)
+@example(coeffs=[6, 0, 6, 6], p=3, shape="plain", r=0, start=2, length=50)
+@example(coeffs=[-1, 0, 0, 0, 1], p=1_999, shape="plain", r=0, start=2,
+         length=2_500)
+@example(coeffs=[-1, 0, 0, 0, 1], p=1_993, shape="plain", r=0, start=2,
+         length=1_000)
+@example(coeffs=[1, 2], p=1_999, shape="square", r=7, start=2, length=2_500)
+@example(coeffs=[5, 3], p=1_997, shape="lead", r=0, start=2, length=2_500)
+@example(coeffs=[2, 0, 1], p=2, shape="plain", r=0, start=2, length=9)
+@example(coeffs=[4, 1], p=1_999, shape="content", r=0, start=2, length=2_500)
+def test_cantor_zassenhaus_roots_match_listing(coeffs, p, shape, r, start,
+                                               length):
+    # shapes: p | content (f = 0 mod p), p | lead (the degree drops mod p),
+    # a repeated root r (times (x - r)**2), and p <= deg when p is small
+    poly = IntPoly(coeffs)
+    if shape == "content":
+        poly = poly.scale(p)
+    elif shape == "lead":
+        poly = IntPoly(coeffs[:-1] + [coeffs[-1] * p])
+    elif shape == "square":
+        poly = poly.multiply(IntPoly((r * r, -2 * r, 1)))
+    stop = start + length
+    primes = sorted({2, 3, 5, p})
+    want = listed_roots(poly, start, stop, primes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_CZ_FROM", 0)  # split whatever p > deg f
+        assert scan._prime_roots(poly, start, stop, primes) == want

@@ -110,12 +110,13 @@ def test_import_hashes_few_fractions():
 
 def test_import_starts_no_pool_machinery():
     # every CLI call pays for the import; scan --jobs imports the process
-    # pool only when it starts one
+    # pool only when it starts one, and scan the root splitter only for
+    # primes above its listing crossover
     script = (
         "import sys\n"
         "import factoridiv.cli\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+        " 'factoridiv.modp') if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 """Certificate verification: distinct rule, legendre rule, dispatch."""
 
+import importlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +10,8 @@ from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import decimal_log_ratio, next_prime, nu_p_factorial
 from factoridiv.verify import verify, verify_distinct, verify_legendre
 
+# the module, which factoridiv shadows with its verify function
+verify_module = importlib.import_module("factoridiv.verify")
 X2P1 = IntPoly((1, 0, 1))
 M61 = 2**61 - 1
 
@@ -84,6 +87,32 @@ def test_legendre_unverifiable_within_budget():
     assert report.reason == "unverifiable"
     assert report.unverifiable_factor == big
     assert report.exponent is not None
+
+
+def test_legendre_factors_each_distinct_factor_once(monkeypatch):
+    calls = []
+    real = verify_module.factorize
+
+    def counted(f, *args):
+        calls.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(verify_module, "factorize", counted)
+    factors = (12, 18, 12, 1, 18, 12)
+    c = cert(IntPoly((math.prod(factors),)), 30, factors, mode="legendre")
+    report = verify_legendre(c)
+    assert calls == [12, 18]
+    # 2**8 3**7 against nu_2(30!) = 26 and nu_3(30!) = 14
+    assert report.accepted and report.margins == {2: 18, 3: 7}
+    # the first factor in list order that fails is named
+    big = M61 * next_prime(2**62)
+    other = next_prime(2**61) * next_prime(2**62)
+    factors = (6, other, big, 6, other)
+    calls.clear()
+    c = cert(IntPoly((math.prod(factors),)), 100, factors, mode="legendre")
+    report = verify_legendre(c, budget=20_000)
+    assert (report.reason, report.unverifiable_factor) == ("unverifiable", other)
+    assert calls == [6, other]
 
 
 def test_dispatch_falls_back_on_duplicates_only():
