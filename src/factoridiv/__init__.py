@@ -5,7 +5,7 @@ for several polynomial families, verifies them under two admissibility
 rules, and scans ranges for smooth polynomial values.
 """
 
-from .intpoly import IntPoly, DivisionReport, ContentSplit
+from .intpoly import IntPoly, ContentSplit
 from .construct import (
     WitnessCertificate,
     SchinzelPieces,
@@ -25,7 +25,6 @@ from .scan import ScanRecord, ScanSummary, scan_range, certificate_smoothness
 
 __all__ = [
     "IntPoly",
-    "DivisionReport",
     "ContentSplit",
     "WitnessCertificate",
     "SchinzelPieces",

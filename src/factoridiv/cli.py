@@ -86,6 +86,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _json_int(literal: str) -> int:
+    # json would parse an integer literal with int(), quadratic on 3.11
+    if literal.startswith("-"):
+        return -_int(literal[1:])
+    return _int(literal)
+
+
 def cert_from_dict(data: dict) -> WitnessCertificate:
     """Parse one certificate object; unknown fields are ignored, unknown
     versions rejected."""
@@ -218,7 +225,7 @@ def _cmd_construct(args, budget: int) -> int:
 
 def _cmd_verify(args, budget: int) -> int:
     with open(args.file) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_json_int)
     if not isinstance(data, list):
         raise UsageError("certificate file must hold a JSON array")
     any_reject = False

@@ -197,7 +197,7 @@ def construct_quadratic(
         raise ValueError("count must be positive")
     comp = poly.compose(poly.add(IntPoly((0, 1))))
     q_poly = comp.exact_divide(poly)
-    _require(isinstance(q_poly, IntPoly), "P(x) must divide P(P(x)+x)")
+    _require(q_poly is not None, "P(x) must divide P(P(x)+x)")
     lower = q_poly.leading // poly.leading
     l, q = find_prime_divisor_of_values(q_poly, lower, scan_limit, seed=seed)
     certs: list[WitnessCertificate] = []
@@ -415,9 +415,7 @@ def _schinzel_candidates(f: IntPoly, kappa: int, rows):
         for g, f1 in _split_guesses(f, kappa, row, root):
             fg = f.compose(g)
             quot = fg.exact_divide(f1)
-            # f1 is primitive, so by Gauss's lemma a quotient that is exact
-            # over Q is already in Z[x]: a DivisionReport is never usable
-            if not isinstance(quot, IntPoly) or quot.is_zero:
+            if quot is None or quot.is_zero:
                 continue
             split = quot.content_split()
             content, f2 = split.content, split.primitive
@@ -518,7 +516,7 @@ def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
     if formula_f1.degree == 3 and formula_g.degree == 2:
         fg = poly.compose(formula_g)
         quot = fg.exact_divide(formula_f1)
-        if isinstance(quot, IntPoly) and not quot.is_zero:
+        if quot is not None and not quot.is_zero:
             split = quot.content_split()
             if formula_f1.multiply(split.primitive).scale(split.content) == fg:
                 return _pack(
@@ -878,7 +876,7 @@ def construct_quartic_biquadratic(
                 continue
             q2_poly = q_poly.compose(g_k).exact_divide(q1_poly)
             r2_poly = r_poly.compose(h_u).exact_divide(r_poly)
-            _require(isinstance(q2_poly, IntPoly) and isinstance(r2_poly, IntPoly),
+            _require(q2_poly is not None and r2_poly is not None,
                      "the chains must divide exactly")
             c_q = q2_poly.coefficient(0)
             c_r = r2_poly.coefficient(0)

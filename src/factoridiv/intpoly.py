@@ -3,43 +3,19 @@
 Coefficients are stored ascending (index i holds the coefficient of x**i)
 in a normalized tuple with no trailing zeros, so equality and hashing are
 structural.  The zero polynomial is the empty tuple and reports degree
--inf.  All arithmetic is exact; nothing here ever rounds.
+-inf.  All arithmetic is in integers, division included, so nothing here
+ever rounds or leaves Z[x].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 
-__all__ = [
-    "IntPoly",
-    "DivisionReport",
-    "ContentSplit",
-    "fraction_content_split",
-]
+__all__ = ["IntPoly", "ContentSplit"]
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class DivisionReport:
-    """Outcome of an attempted exact division that did not stay in Z[x].
-
-    kind is "not-a-factor" when the remainder is nonzero, or
-    "rational-quotient" when the division is exact over Q but the quotient
-    has at least one non-integer coefficient.  quotient and remainder hold
-    the rational result of ordinary polynomial long division.
-    """
-
-    kind: str
-    quotient: tuple[Fraction, ...]
-    remainder: tuple[Fraction, ...]
-
-    @property
-    def exact_over_rationals(self) -> bool:
-        return self.kind == "rational-quotient"
 
 
 @dataclass(frozen=True)
@@ -80,12 +56,6 @@ class IntPoly:
     @classmethod
     def x(cls) -> "IntPoly":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     @classmethod
     def from_string(cls, text: str) -> "IntPoly":
@@ -215,20 +185,11 @@ class IntPoly:
             return IntPoly((value,))
         raise TypeError(f"cannot treat {value!r} as an integer polynomial")
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-
     # -- evaluation and composition ---------------------------------------
 
     def evaluate(self, x: int) -> int:
         """Horner evaluation; exact for arbitrary-precision arguments."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def evaluate_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -245,76 +206,31 @@ class IntPoly:
 
     # -- division ---------------------------------------------------------
 
-    def exact_divide(self, divisor: "IntPoly"):
-        """Divide by divisor, insisting the quotient stays in Z[x].
+    def exact_divide(self, divisor: "IntPoly") -> "IntPoly | None":
+        """The quotient self / divisor if it lies in Z[x], else None.
 
-        Returns the quotient IntPoly on success.  Otherwise returns a
-        DivisionReport: kind "not-a-factor" when a nonzero remainder is
-        left, kind "rational-quotient" when the division is exact but
-        needs rational coefficients.  A divisor with leading coefficient
-        +-1 is divided in plain integers (its quotient is always integral);
-        any other divisor goes through Fraction long division.
+        One long division in integers.  When the quotient is integral,
+        each step's top coefficient over the divisor's leading one is that
+        integer quotient coefficient.  So the division stops with None as
+        soon as that step leaves a remainder, or when a nonzero remainder
+        polynomial is left, for any divisor, primitive or not.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if divisor.leading in (1, -1):
-            quot, rem = self._long_divide_unit(divisor)
-            if rem:
-                return DivisionReport(
-                    "not-a-factor",
-                    tuple(map(Fraction, quot)),
-                    tuple(map(Fraction, rem)),
-                )
-            return IntPoly(quot)
-        quot, rem = self._long_divide(divisor)
-        if any(rem):
-            return DivisionReport("not-a-factor", tuple(quot), tuple(rem))
-        if all(q.denominator == 1 for q in quot):
-            return IntPoly(int(q) for q in quot)
-        return DivisionReport("rational-quotient", tuple(quot), tuple(rem))
-
-    def _long_divide(self, divisor: "IntPoly"):
-        num = [Fraction(c) for c in self.coeffs]
-        den = [Fraction(c) for c in divisor.coeffs]
-        dd = len(den) - 1
-        lead = den[-1]
-        quot = [Fraction(0)] * max(len(num) - dd, 0)
-        while len(num) - 1 >= dd and any(num):
-            # strip exact zero leading entries produced by cancellation
-            while num and num[-1] == 0:
-                num.pop()
-            if len(num) - 1 < dd:
-                break
-            shift = len(num) - 1 - dd
-            q = num[-1] / lead
-            quot[shift] = q
-            for i, dc in enumerate(den):
-                num[shift + i] -= q * dc
-            num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-        return quot, num
-
-    def _long_divide_unit(self, divisor: "IntPoly"):
-        # leading coefficient u = +-1, so 1/u = u and each quotient
-        # coefficient is top * u; only the nonzero lower terms are touched
         num = list(self.coeffs)
         dd = len(divisor.coeffs) - 1
         lead = divisor.coeffs[-1]
         lower = [(i, c) for i, c in enumerate(divisor.coeffs[:-1]) if c]
         quot = [0] * max(len(num) - dd, 0)
         for shift in range(len(quot) - 1, -1, -1):
-            q = num.pop() * lead
+            q, r = divmod(num.pop(), lead)
+            if r:
+                return None
             if q:
                 quot[shift] = q
                 for i, c in lower:
                     num[shift + i] -= q * c
-        while num and num[-1] == 0:
-            num.pop()
-        return quot, num
-
-    def divides(self, other: "IntPoly") -> bool:
-        return isinstance(other.exact_divide(self), IntPoly)
+        return None if any(num) else IntPoly(quot)
 
     # -- content and shifts -------------------------------------------------
 
@@ -354,28 +270,3 @@ class IntPoly:
                 return y, cand
             y += 1
 
-
-def fraction_content_split(coeffs) -> tuple[Fraction, IntPoly]:
-    """Content split for a rational coefficient vector.
-
-    Returns (content, primitive) with content = sign * gcd(numerators) /
-    lcm(denominators) and a primitive integer polynomial with positive
-    leading coefficient.  Used when a quotient lands in Q[x] but a scaled
-    integer polynomial is wanted.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial has no content split")
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scaled = [int(c * den_lcm) for c in cs]
-    g = 0
-    for c in scaled:
-        g = math.gcd(g, c)
-    if scaled[-1] < 0:
-        g = -g
-    prim = IntPoly(c // g for c in scaled)
-    return Fraction(g, den_lcm), prim

@@ -27,7 +27,6 @@ __all__ = [
     "valuation",
     "nu_p_factorial",
     "factorize",
-    "largest_prime_factor",
     "euler_phi",
     "divisors",
     "find_prime_divisor_of_values",
@@ -269,15 +268,6 @@ def factorize(
                                            partial, cofactor, budget)
         stack.extend((d, v // d))
     return PrimeFactorization(tuple(sorted(found.items())), unit)
-
-
-def largest_prime_factor(
-    m: int, budget: int = DEFAULT_FACTOR_BUDGET, seed: int = 0
-) -> int:
-    """P+(m) for |m| >= 2."""
-    if abs(m) < 2:
-        raise ValueError("need |m| >= 2")
-    return factorize(m, budget, seed).factors[-1][0]
 
 
 def euler_phi(n: int) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factoridiv
-from factoridiv import cli
+from factoridiv import cli, numtheory
 from factoridiv.construct import (
     construct_quadratic,
     construct_quartic_cubic_linear,
@@ -189,6 +189,48 @@ def test_verify_rejects_n_beyond_the_format_bound(tmp_path, capsys):
         "for integer string conversion: value has 2000001 digits; use "
         "sys.set_int_max_str_digits() to increase the limit)\n"
     )
+
+
+def write_literal_n(path, entry, n_text):
+    # the certificate with n as a bare JSON number literal, not a string
+    path.write_text(json.dumps([dict(entry, n="@N@")]).replace('"@N@"', n_text))
+    return str(path)
+
+
+def test_verify_reads_a_literal_n_like_its_string(tmp_path, capsys):
+    cert = construct_quartic_cubic_linear(
+        IntPoly((1, 1, 1, 1)), IntPoly((1, 1)))[0]
+    entry = cli.cert_to_dict(cert)
+    for n_text in (entry["n"], "-" + entry["n"]):
+        literal = write_literal_n(tmp_path / "l.json", entry, n_text)
+        string = write_certs(tmp_path / "s.json", [dict(entry, n=n_text)])
+        got = run(["verify", literal], capsys)
+        assert got == run(["verify", string], capsys)
+        assert got[0] == (0 if n_text == entry["n"] else 1)
+
+
+def test_verify_parses_a_literal_n_by_its_digits(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def spy(digits):
+        seen.append(digits)
+        return numtheory.int_from_digits(digits)
+
+    monkeypatch.setattr(cli, "int_from_digits", spy)
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    code, _, _ = run(["verify", write_literal_n(tmp_path / "l.json", entry,
+                                                entry["n"])], capsys)
+    assert code == 0
+    assert entry["n"] in seen
+
+
+def test_verify_literal_beyond_the_format_bound_is_a_usage_error(tmp_path, capsys):
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    path = write_literal_n(tmp_path / "l.json", entry, "-1" + "0" * cli.MAX_DIGITS)
+    assert run(["verify", path], capsys) == (64, "", (
+        "factoridiv: error: Exceeds the limit (2000000 digits) for integer "
+        "string conversion: value has 2000001 digits; use "
+        "sys.set_int_max_str_digits() to increase the limit\n"))
 
 
 @pytest.mark.parametrize("field, value", [

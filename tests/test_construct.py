@@ -29,7 +29,7 @@ from factoridiv.construct import (
     construct_quartic_cubic_linear,
     schinzel_pieces,
 )
-from factoridiv.intpoly import IntPoly, fraction_content_split
+from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import divisors
 from factoridiv.specialpoly import chebyshev_t_value
 from factoridiv.verify import verify, verify_distinct
@@ -274,6 +274,14 @@ def fraction_det3_linear(ent):
         for k, v in enumerate(term):
             total[k] += v if sign > 0 else -v
     return total
+
+
+def fraction_content_split(coeffs):
+    """(content, primitive) of a rational coefficient vector, with the
+    sign in the content so that the primitive part leads positive."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    split = IntPoly(int(c * den) for c in coeffs).content_split()
+    return Fraction(split.content, den), split.primitive
 
 
 def fraction_split_guesses(f, kappa, tau, e0, d1, r):

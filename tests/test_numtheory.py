@@ -24,7 +24,6 @@ from factoridiv.numtheory import (
     int_from_digits,
     is_perfect_square,
     is_probable_prime,
-    largest_prime_factor,
     next_prime,
     nu_p_factorial,
     sieve_primes,
@@ -141,12 +140,6 @@ def test_factorize_budget_error():
     assert err.partial.value * err.cofactor == m
     assert err.cofactor > 1 and not is_probable_prime(err.cofactor)
     assert err.budget == 20_000
-
-
-def test_largest_prime_factor():
-    assert largest_prime_factor(600851475143) == 6857
-    assert largest_prime_factor(2) == 2
-    assert largest_prime_factor(-15) == 5
 
 
 def test_euler_phi():

@@ -66,6 +66,21 @@ def test_specialpoly_builds_no_dense_composition():
     assert found == []
 
 
+def test_intpoly_is_integer_only():
+    # exact_divide decides integrality in integers; no rational arithmetic
+    # may come back into the polynomial layer
+    path = pathlib.Path(factoridiv.__file__).parent / "intpoly.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"from fractions:{node.lineno}")
+        if isinstance(node, ast.Import) and any(
+            a.name == "fractions" for a in node.names
+        ):
+            found.append(f"import fractions:{node.lineno}")
+    assert found == []
+
+
 def test_construct_leaves_prime_selection_to_numtheory():
     # one Mertens selector: construct reads numtheory's prime runs and
     # neither walks the primes itself nor defines a selector of its own
