@@ -143,7 +143,7 @@ DIVISORS = st.builds(
 @example(divisor=IntPoly((2,)), cofactor=[], extra=[1, 3, 2])  # rational
 @example(divisor=IntPoly((2,)), cofactor=[3, -1], extra=[])  # content 2
 @example(divisor=IntPoly((4, 0, 2)), cofactor=[1, 1], extra=[0, 2])
-@example(divisor=IntPoly((1, 3)), cofactor=[], extra=[1, 0, 9])  # exact steps, remainder 2
+@example(divisor=IntPoly((1, 3)), cofactor=[], extra=[1, 0, 9])  # remainder 2
 def test_exact_divide_matches_fraction_division(divisor, cofactor, extra):
     # random dividends plus exact multiples of the divisor, whose leading
     # coefficient need not be a unit nor the divisor primitive
