@@ -6,8 +6,8 @@ rules, and scans ranges for smooth polynomial values.
 """
 
 from .intpoly import IntPoly, ContentSplit
+from .certificate import WitnessCertificate
 from .construct import (
-    WitnessCertificate,
     SchinzelPieces,
     SchinzelInconsistency,
     ConstructionBudgetError,

@@ -14,9 +14,9 @@ import os
 import sys
 from fractions import Fraction
 
+from .certificate import WitnessCertificate
 from .construct import (
     ConstructionBudgetError,
-    WitnessCertificate,
     construct_binomial_power,
     construct_chebyshev,
     construct_cubic,

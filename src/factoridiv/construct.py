@@ -32,9 +32,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from .certificate import WitnessCertificate
 from .intpoly import IntPoly
 from .numtheory import (
     BudgetExceededError,
@@ -73,35 +74,6 @@ __all__ = [
     "construct_cyclotomic",
     "construct_chebyshev",
 ]
-
-
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """A claim that the factor list multiplies to |poly(n)|.
-
-    The claim itself is checked by the verify module; construction only
-    enforces structural sanity so that tampered certificates remain
-    representable (and rejectable).
-    """
-
-    poly: IntPoly
-    class_tag: str
-    n: int
-    factors: tuple[int, ...]
-    params: dict[str, str]
-    mode_hint: str
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
-        if not self.factors:
-            raise ValueError("empty factor list")
-        for f in self.factors:
-            if not isinstance(f, int) or f < 1:
-                raise ValueError("factors must be positive integers")
-        if self.mode_hint not in ("distinct", "legendre"):
-            raise ValueError(f"unknown mode hint {self.mode_hint!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
 
 
 class ConstructionBudgetError(BudgetExceededError):
@@ -255,20 +227,28 @@ def construct_quadratic(
 # every candidate that reaches the caller has been verified that way.
 
 
-def _tau_grid(denominators, max_numerator) -> tuple[Fraction, ...]:
-    vals = {
-        Fraction(nu, de)
-        for de in denominators
-        for nu in range(-max_numerator, max_numerator + 1)
-        if nu != 0
-    }
-    return tuple(
-        sorted(vals, key=lambda t: (abs(t.numerator * t.denominator), t < 0, abs(t)))
-    )
+def _tau_pairs(denominators, max_numerator) -> list[tuple[int, int]]:
+    """Reduced (nu, delta) of every nonzero nu/delta with delta in
+    denominators and |nu| <= max_numerator, in search order: by |nu| delta,
+    positive first, then by |tau|, which for equal |nu| delta is |nu|."""
+    pairs = set()
+    for de in denominators:
+        for nu in range(-max_numerator, max_numerator + 1):
+            if nu:
+                g = math.gcd(nu, de)
+                pairs.add((nu // g, de // g))
+    return sorted(pairs, key=lambda p: (abs(p[0]) * p[1], p[0] < 0, abs(p[0])))
 
 
-_TAUS_TOP = _tau_grid((1, 2, 4, 8), 16)
-_TAUS_WIDE = _tau_grid((1, 2, 3, 4, 8, 16), 48)
+# every CLI call builds these, so the grids are deduped and sorted as
+# integer pairs and each Fraction is made once.  _TAUS_PUBLIC is the top
+# grid, then the wide grid's new values in wide-grid order
+_TOP_PAIRS = _tau_pairs((1, 2, 4, 8), 16)
+_WIDE_PAIRS = _tau_pairs((1, 2, 3, 4, 8, 16), 48)
+_TAU = {p: Fraction(*p) for p in dict.fromkeys(_TOP_PAIRS + _WIDE_PAIRS)}
+_TAUS_TOP = tuple(_TAU[p] for p in _TOP_PAIRS)
+_TAUS_WIDE = tuple(_TAU[p] for p in _WIDE_PAIRS)
+_TAUS_PUBLIC = tuple(_TAU.values())
 
 
 def _resolvent(m, a, b):
@@ -284,13 +264,7 @@ def _resolvent(m, a, b):
     return det, b * minors, b * b * (s00 + s11 + s22), b**3
 
 
-@dataclass(frozen=True)
-class _EngineHit:
-    tau: Fraction
-    g: IntPoly
-    f1: IntPoly
-    f2: IntPoly
-    content: int
+_EngineHit = namedtuple("_EngineHit", "tau g f1 f2 content")
 
 
 # The screen over tau runs in integers, since almost every tau fails the
@@ -426,8 +400,12 @@ def _schinzel_candidates(f: IntPoly, kappa: int, rows):
             yield _EngineHit(row[0], g, f1, f2, content)
 
 
-@dataclass(frozen=True)
-class SchinzelPieces:
+class SchinzelPieces(
+    namedtuple(
+        "SchinzelPieces",
+        "g f1 f2 content A B kappa tau formula_g formula_f1 disc_marker",
+    )
+):
     """A verified split f(g(x)) = content * f1(x) * f2(x).
 
     A and B are the leading and negated linear coefficients of g, the
@@ -437,17 +415,7 @@ class SchinzelPieces:
     division identity (g, f1, f2 always do).
     """
 
-    g: IntPoly
-    f1: IntPoly
-    f2: IntPoly
-    content: int
-    A: int
-    B: int
-    kappa: int
-    tau: Fraction
-    formula_g: IntPoly
-    formula_f1: IntPoly
-    disc_marker: int
+    __slots__ = ()
 
 
 class SchinzelInconsistency(Exception):
@@ -482,9 +450,6 @@ def _display_formula(f: IntPoly, kappa: int):
     return g, f1, marker
 
 
-_TAUS_PUBLIC = tuple(dict.fromkeys(_TAUS_TOP + _TAUS_WIDE))
-
-
 def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
     """First verified split of poly(g(x)) for a positive cubic.
 
@@ -500,17 +465,8 @@ def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
 
     def _pack(g, f1, f2, content, tau):
         return SchinzelPieces(
-            g=g,
-            f1=f1,
-            f2=f2,
-            content=content,
-            A=g.coefficient(2),
-            B=-g.coefficient(1),
-            kappa=kappa,
-            tau=tau,
-            formula_g=formula_g,
-            formula_f1=formula_f1,
-            disc_marker=marker,
+            g, f1, f2, content, g.coefficient(2), -g.coefficient(1), kappa, tau,
+            formula_g, formula_f1, marker,
         )
 
     if formula_f1.degree == 3 and formula_g.degree == 2:
@@ -532,13 +488,8 @@ def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
 # at a shared constant 2l, Pell linkage between the two quadratic arguments
 
 
-@dataclass(frozen=True)
-class _LinkedInstance:
-    kappa: int
-    top: _EngineHit
-    l: int
-    r_hit: _EngineHit
-    s_hit: _EngineHit
+class _LinkedInstance(namedtuple("_LinkedInstance", "kappa top l r_hit s_hit")):
+    __slots__ = ()
 
     @property
     def sides(self):

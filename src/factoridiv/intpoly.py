@@ -10,7 +10,7 @@ ever rounds or leaves Z[x].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 
 __all__ = ["IntPoly", "ContentSplit"]
@@ -18,21 +18,18 @@ __all__ = ["IntPoly", "ContentSplit"]
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class ContentSplit:
+class ContentSplit(namedtuple("ContentSplit", "content primitive")):
     """A polynomial written as content * primitive.
 
     content carries the sign so that the primitive part has a positive
     leading coefficient; primitive has coefficient gcd 1.
     """
 
-    content: int
-    primitive: "IntPoly"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -42,6 +39,23 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IntPoly is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # unpickling goes through __init__, since __setattr__ refuses
+        return IntPoly, (self.coeffs,)
+
+    def __eq__(self, other):
+        if isinstance(other, IntPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     # -- construction helpers -------------------------------------------
 

@@ -13,7 +13,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 
 __all__ = [
@@ -64,15 +64,15 @@ class BudgetExceededError(Exception):
     """Base for all budget exhaustion conditions."""
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(
+    namedtuple("PrimeFactorization", "factors unit", defaults=(1,))
+):
     """Sorted (prime, exponent) pairs plus a unit of +-1.
 
     value reassembles the original integer exactly.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    unit: int = 1
+    __slots__ = ()
 
     @property
     def value(self) -> int:

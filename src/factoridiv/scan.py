@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
 
-from .construct import WitnessCertificate
+from .certificate import WitnessCertificate
 from .intpoly import IntPoly
 from .numtheory import decimal_log_ratio, sieve_primes
 
@@ -81,20 +81,9 @@ _POOL_WINDOWS = 64
 _CZ_FROM = 1500
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    n: int
-    value: int
-    p_plus: int
-    exponent: str  # log(P+)/log(n), four decimal places
-
-
-@dataclass(frozen=True)
-class ScanSummary:
-    examined: int
-    hits: int
-    unresolved: int
-    min_exponent: str | None
+# exponent is log(P+)/log(n) as a string, to four decimal places
+ScanRecord = namedtuple("ScanRecord", "n value p_plus exponent")
+ScanSummary = namedtuple("ScanSummary", "examined hits unresolved min_exponent")
 
 
 def _integer_kth_root(x: int, k: int) -> int:

@@ -17,11 +17,10 @@ rule only when the sole obstruction is a duplicated factor.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .construct import WitnessCertificate
+from .certificate import WitnessCertificate
 from .numtheory import (
     DEFAULT_FACTOR_BUDGET,
     FactorizationBudgetError,
@@ -38,8 +37,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "accepted rule reason margins max_factor n exponent unverifiable_factor",
+        defaults=(None,) * 6,
+    )
+):
     """Outcome of checking one certificate.
 
     margins maps each prime of the factorization (legendre rule only) to
@@ -49,14 +53,12 @@ class VerificationReport:
     max_factor_ratio is max_factor/n, reduced only when asked for.
     """
 
-    accepted: bool
-    rule: str | None
-    reason: str | None = None
-    margins: dict = field(default_factory=dict)
-    max_factor: int | None = None
-    n: int | None = None
-    exponent: str | None = None
-    unverifiable_factor: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, accepted, rule, reason=None, margins=None, *rest, **fields):
+        # a dict of its own for each report
+        margins = {} if margins is None else margins
+        return super().__new__(cls, accepted, rule, reason, margins, *rest, **fields)
 
     @property
     def max_factor_ratio(self) -> Fraction | None:

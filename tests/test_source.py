@@ -99,8 +99,8 @@ def test_construct_leaves_prime_selection_to_numtheory():
 
 
 def test_import_hashes_few_fractions():
-    # every CLI call pays for the import; the tau grids are built once there
-    # and must not rehash a Fraction set once per element (29 216 calls)
+    # every CLI call pays for the import; the tau grids are deduped and
+    # sorted as integer pairs there, so no Fraction is hashed at all
     script = (
         "import fractions\n"
         "calls = 0\n"
@@ -120,7 +120,7 @@ def test_import_hashes_few_fractions():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 2000
+    assert int(proc.stdout) == 0
 
 
 def test_import_starts_no_pool_machinery():
@@ -141,6 +141,45 @@ def test_import_starts_no_pool_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_dataclasses():
+    # every CLI call pays for the import; dataclasses would bring inspect,
+    # ast, dis and tokenize along.  -S keeps site's .pth imports out
+    script = (
+        "import sys\n"
+        "import factoridiv.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_checking_modules_import_no_search_code():
+    # verify and scan read certificates from the certificate module, not
+    # from the constructors, and use no randomness
+    root = pathlib.Path(factoridiv.__file__).parent
+    found = []
+    for name in ("verify.py", "scan.py"):
+        path = root / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                mods = [base] + [f"{base}.{a.name}".lstrip(".") for a in node.names]
+            else:
+                continue
+            for mod in mods:
+                if {"construct", "random"} & set(mod.split(".")):
+                    found.append(f"{name}:{node.lineno}:{mod}")
+    assert found == []
 
 
 def test_public_tau_grid_order():
