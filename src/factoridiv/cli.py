@@ -162,13 +162,13 @@ def _factor_budget(args) -> int:
 _POLYS = ("poly", "count")
 _M_S = ("m", "s", "ratio")
 
-# family -> (the flags it reads besides --seed and --out, its argument
+# family -> (the flags it reads besides --out, its argument
 # check, the usage complaint when the check fails, its constructor call);
 # the check and the call take the parsed arguments and the --poly list
 FAMILIES = {
     "quadratic": (
         _POLYS, lambda a, p: len(p) == 1, "takes exactly one --poly",
-        lambda a, p: construct_quadratic(p[0], a.count, seed=a.seed)),
+        lambda a, p: construct_quadratic(p[0], a.count)),
     "cubic": (
         _POLYS, lambda a, p: len(p) == 1, "takes exactly one --poly",
         lambda a, p: construct_cubic(p[0], a.count)),
@@ -210,7 +210,7 @@ def _cmd_construct(args, budget: int) -> int:
         _write_certs(exc.partial, args.out)
         print(json.dumps(exc.report, sort_keys=True), file=sys.stderr)
         return EXIT_BUDGET
-    reports = [verify(c, budget=budget, seed=args.seed) for c in certs]
+    reports = [verify(c, budget=budget) for c in certs]
     _write_certs(certs, args.out)
     bad = [r for r in reports if not r.accepted]
     if bad:
@@ -237,7 +237,7 @@ def _cmd_verify(args, budget: int) -> int:
             print(f"cert {i}: REJECT reason=malformed ({exc})")
             any_reject = True
             continue
-        report = verify(cert, budget=budget, seed=args.seed)
+        report = verify(cert, budget=budget)
         if report.accepted:
             print(
                 f"cert {i}: ACCEPT rule={report.rule} n_digits="
@@ -319,13 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--s", help="comma separated base values")
     con.add_argument("--count", type=int)
     con.add_argument("--ratio", help="Mertens oversampling ratio, e.g. 9/8")
-    con.add_argument("--seed", type=int, default=0)
     con.add_argument("--out", help="output file (default stdout)")
 
     ver = sub.add_parser("verify", help="verify a certificate file")
     ver.add_argument("file")
     ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=0)
 
     sca = sub.add_parser("scan", help="scan for smooth polynomial values")
     sca.add_argument("--poly", required=True)

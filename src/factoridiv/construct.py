@@ -152,7 +152,6 @@ def construct_quadratic(
     count: int = 1,
     *,
     scan_limit: int = 10_000,
-    seed: int = 0,
 ) -> list[WitnessCertificate]:
     """Certificates for a quadratic P via the self-composition identity
     P(P(m) + m) = P(m) * Q(m), where Q = P(P(x)+x)/P(x) is an integer
@@ -171,7 +170,7 @@ def construct_quadratic(
     q_poly = comp.exact_divide(poly)
     _require(q_poly is not None, "P(x) must divide P(P(x)+x)")
     lower = q_poly.leading // poly.leading
-    l, q = find_prime_divisor_of_values(q_poly, lower, scan_limit, seed=seed)
+    l, q = find_prime_divisor_of_values(q_poly, lower, scan_limit)
     certs: list[WitnessCertificate] = []
     m = l if l >= 1 else l + q
     steps = 0
@@ -382,22 +381,27 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
         yield IntPoly((2 * kappa, g1, g2)), f1
 
 
+def _split(f: IntPoly, g: IntPoly, f1: IntPoly):
+    """(content, f2) with f(g(x)) = content * f1(x) * f2(x) and f2 a
+    primitive cubic, as a ContentSplit, or None when there is none."""
+    fg = f.compose(g)
+    quot = fg.exact_divide(f1)
+    if quot is None or quot.is_zero:
+        return None
+    content, f2 = split = quot.content_split()
+    if f2.degree != 3 or f1.multiply(f2).scale(content) != fg:
+        return None
+    return split
+
+
 def _schinzel_candidates(f: IntPoly, kappa: int, rows):
     """Yield verified splits of f(g(x)) in deterministic grid order, from
     rows = _tau_rows(f, taus)."""
     for row, root in _square_rows(rows, kappa):
         for g, f1 in _split_guesses(f, kappa, row, root):
-            fg = f.compose(g)
-            quot = fg.exact_divide(f1)
-            if quot is None or quot.is_zero:
-                continue
-            split = quot.content_split()
-            content, f2 = split.content, split.primitive
-            if f2.degree != 3:
-                continue
-            if f1.multiply(f2).scale(content) != fg:
-                continue
-            yield _EngineHit(row[0], g, f1, f2, content)
+            got = _split(f, g, f1)
+            if got is not None:
+                yield _EngineHit(row[0], g, f1, got.primitive, got.content)
 
 
 class SchinzelPieces(
@@ -469,15 +473,10 @@ def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
             formula_g, formula_f1, marker,
         )
 
-    if formula_f1.degree == 3 and formula_g.degree == 2:
-        fg = poly.compose(formula_g)
-        quot = fg.exact_divide(formula_f1)
-        if quot is not None and not quot.is_zero:
-            split = quot.content_split()
-            if formula_f1.multiply(split.primitive).scale(split.content) == fg:
-                return _pack(
-                    formula_g, formula_f1, split.primitive, split.content, Fraction(0)
-                )
+    got = _split(poly, formula_g, formula_f1)
+    if got is not None:
+        return _pack(formula_g, formula_f1, got.primitive, got.content,
+                     Fraction(0))
     for hit in _schinzel_candidates(poly, kappa, _tau_rows(poly, _TAUS_PUBLIC)):
         return _pack(hit.g, hit.f1, hit.f2, hit.content, hit.tau)
     raise SchinzelInconsistency(poly, kappa, formula_g, formula_f1, len(_TAUS_PUBLIC))
@@ -570,8 +569,7 @@ def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
         inst.s_hit.f2.evaluate(v),
     ]
     content = inst.top.content * inst.r_hit.content * inst.s_hit.content
-    shifted = poly.shift(shift_y)
-    _require(math.prod(vals) * content == shifted.evaluate(n_shift),
+    _require(math.prod(vals) * content == poly.evaluate(n),
              "cubic pieces must multiply to P(n)")
     if any(v == 0 for v in vals):
         return None
@@ -801,22 +799,13 @@ def construct_quartic_biquadratic(
                     k_side.coefficient(2) * c1 * c1,
                 )
             )
-            dq = q_poly.coefficient(2)
-            eq = q_poly.coefficient(1)
             fq = q_poly.coefficient(0)
-            v_const = fq * (1 + l * fq * (dq * fq + eq + 1))
-            g_k = IntPoly(
-                (v_const, 1 + l * fq * (2 * dq * fq + eq), l * fq * dq)
-            )
-            h_u = IntPoly(
-                (v_const, v_const * r_poly.coefficient(1) + 1,
-                 v_const * r_poly.coefficient(2))
-            )
             q1_poly = q_poly.shift(fq)
-            chain = IntPoly((fq, 1)).add(q1_poly.scale(l * fq))
-            _require(chain == g_k, "k-side chain must close")
-            _require(IntPoly((0, 1)).add(r_poly.scale(v_const)) == h_u,
-                     "u-side chain must close")
+            # g_k(x) = (x + f) + l f Q(x + f), and h_u(x) = x + v R(x)
+            # with v = g_k(0), so that g_k(k) = h_u(u) is the chain at n
+            g_k = IntPoly((fq, 1)).add(q1_poly.scale(l * fq))
+            v_const = g_k.coefficient(0)
+            h_u = IntPoly((0, 1)).add(r_poly.scale(v_const))
             a_k = g_k.coefficient(2)
             b_k = g_k.coefficient(1)
             c_u = h_u.coefficient(2)
@@ -975,12 +964,15 @@ def construct_binomial_power(
     return certs
 
 
+# how many primes a cyclotomic run may add past the Mertens choice
+_MAX_EXTENSIONS = 6
+
+
 def construct_cyclotomic(
     m: int,
     s_values,
     ratio=1,
     *,
-    max_extensions: int = 6,
     max_n_digits: int = 100_000,
 ) -> list[WitnessCertificate]:
     """Certificates for P = Phi_m at n = s**N.
@@ -999,7 +991,7 @@ def construct_cyclotomic(
     poly = cyclotomic(m)
     certs: list[WitnessCertificate] = []
     for s, bits in sized:
-        for k in range(base, base + max_extensions + 1):
+        for k in range(base, base + _MAX_EXTENSIONS + 1):
             if k > len(primes):
                 next(runs)
             if _emit(certs, poly, "cyclotomic", {"m": str(m)}, primes[:k], s,
@@ -1011,7 +1003,7 @@ def construct_cyclotomic(
         else:
             raise ConstructionBudgetError(certs, {
                 "class": "cyclotomic", "m": str(m), "s": str(s),
-                "reason": f"no valid prime run within {max_extensions} "
+                "reason": f"no valid prime run within {_MAX_EXTENSIONS} "
                 "extensions"})
     return certs
 
@@ -1047,13 +1039,10 @@ def construct_chebyshev(
     def split(n_value):
         all_vals: list[int] = []
         for m in ms:
+            # the first value is psi_{4t}(2s) = 2 T_t(s), t the 2-part of mN
             vals = [v for _, v in chebyshev_factor_values(m * n_value, s)]
-            for i, v in enumerate(vals):
-                if v % 2 == 0:
-                    vals[i] = v // 2
-                    break
-            else:
-                raise ArithmeticError("an even psi value must exist")
+            _require(vals[0] % 2 == 0, "the first psi value must be even")
+            vals[0] //= 2
             _require(math.prod(vals) == chebyshev_t_value(m * n_value, s),
                      "psi values must multiply to T_mN(s)")
             all_vals.extend(vals)

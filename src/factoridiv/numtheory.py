@@ -81,9 +81,6 @@ class PrimeFactorization(
             out *= p**e
         return out
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 class FactorizationBudgetError(BudgetExceededError):
     """Rho ran out of iterations.
@@ -103,9 +100,10 @@ class FactorizationBudgetError(BudgetExceededError):
         self.budget = budget
 
 
-def is_probable_prime(n: int, seed: int = 0) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic for n below ~3.3e24, else the fixed
-    bases plus 12 deterministically seeded extra rounds."""
+    bases plus 12 extra rounds at bases drawn from a generator seeded
+    with n, so the answer depends on n alone."""
     if n < 2:
         return False
     if n < _TRIAL_BOUND:
@@ -134,7 +132,7 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
         return True
-    rng = random.Random(n ^ (seed * 0x9E3779B97F4A7C15))
+    rng = random.Random(n)
     for _ in range(12):
         a = rng.randrange(2, n - 1)
         if witness(a):
@@ -223,12 +221,11 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int, int]:
     return 0, used
 
 
-def factorize(
-    m: int, budget: int = DEFAULT_FACTOR_BUDGET, seed: int = 0
-) -> PrimeFactorization:
+def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> PrimeFactorization:
     """Full prime factorization of a nonzero integer.
 
-    Deterministic for a fixed (m, seed).  Raises FactorizationBudgetError
+    Deterministic for a fixed m: rho draws its starts from a generator
+    seeded with m.  Raises FactorizationBudgetError
     when the rho iteration budget runs out, with the partial split
     attached.
     """
@@ -244,7 +241,7 @@ def factorize(
             found[p] = found.get(p, 0) + 1
             m //= p
     remaining = budget
-    rng = random.Random((m << 16) ^ seed ^ 0xF1D0)
+    rng = random.Random((m << 16) ^ 0xF1D0)
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
@@ -315,7 +312,6 @@ def find_prime_divisor_of_values(
     lower_bound: int,
     scan_limit: int = 10_000,
     budget: int = DEFAULT_FACTOR_BUDGET,
-    seed: int = 0,
 ) -> tuple[int, int]:
     """First (l, p) with p prime, p > lower_bound, p | q(l), scanning
     l = 0, 1, 2, ... and taking the smallest qualifying prime of each
@@ -324,7 +320,7 @@ def find_prime_divisor_of_values(
         v = abs(q.evaluate(l))
         if v < 2:
             continue
-        fac = factorize(v, budget, seed)
+        fac = factorize(v, budget)
         for p, _ in fac.factors:
             if p > lower_bound:
                 return l, p

@@ -2,9 +2,12 @@
 stream, and divisibility filtering of the s-sequence.
 
 The fundamental solution comes from the continued fraction expansion of
-sqrt(D); convergents are tested directly, so no period bookkeeping is
-needed.  Solutions (r_k, s_k) then follow the linear recurrence
-x_{k+1} = 2 r1 x_k - x_{k-1} starting from (1, 0) and (r1, s1).
+sqrt(D).  The (P, Q, a) recurrence of that expansion runs on small
+integers, and the convergents h_i/k_i satisfy
+h_i**2 - D k_i**2 = (-1)**(i+1) Q_{i+1}, so a solution is found by testing
+Q_{i+1} = 1 at odd i and no convergent is squared.  Solutions (r_k, s_k)
+then follow the linear recurrence x_{k+1} = 2 r1 x_k - x_{k-1} starting
+from (1, 0) and (r1, s1).
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def fundamental_solution(
     """Least positive (r, s) with r**2 - d s**2 = 1, for nonsquare d >= 2.
 
     Walks the continued fraction convergents h/k of sqrt(d); the first
-    convergent with h**2 - d k**2 = 1 is the fundamental solution.
+    convergent with h**2 - d k**2 = 1 is the fundamental solution.  The
+    digit budget is checked at every convergent that is not a solution.
     """
     if d < 2:
         raise ValueError("need d >= 2")
@@ -53,14 +57,16 @@ def fundamental_solution(
     p, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
+    sign = -1  # (-1)**(i+1) at convergent i
     while True:
-        if h * h - d * k * k == 1:
+        p = a * q - p
+        q = (d - p * p) // q
+        if sign * q == 1:  # h**2 - d k**2 = sign * q
             return h, k
         digits = decimal_digits_upper(h.bit_length())
         if digits > digit_budget:
             raise PellBudgetError(d, digits, digit_budget)
-        p = a * q - p
-        q = (d - p * p) // q
+        sign = -sign
         a = (a0 + p) // q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
@@ -116,11 +122,6 @@ def indices_with_s_divisible(d: int, fundamental: tuple[int, int], m: int):
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        k = 0
-        while True:
-            yield k
-            k += 1
     r1m, s1m = fundamental[0] % m, fundamental[1] % m
     start = ((1 % m, 0), (r1m, s1m))
     zeros = [0]  # s_0 = 0 always

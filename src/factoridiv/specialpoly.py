@@ -30,12 +30,16 @@ chebyshev_terms() generates the first-kind Chebyshev polynomials
 T_0, T_1, ... under T_{n+1} = 2x T_n - T_{n-1}, holding only the last
 two; chebyshev_t(n) is its n-th term and a table is one pass over it.
 
+chebyshev_factor_values(n, s) inverts 2 T_n(s) = prod psi_{4d}(2s) the
+same way, with values 2 T_k(s) from one pass of the integer recurrence.
+
 The identity checks here raise ArithmeticError, so they also run under
 python -O.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import sub
@@ -62,6 +66,21 @@ def _mobius_terms(n: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _mobius_product(terms, value, name: str) -> int:
+    # prod value(e)**mu over (e, mu) in terms: the factors with mu = +1
+    # over those with mu = -1, by one exact division
+    num = den = 1
+    for e, mu in terms:
+        if mu > 0:
+            num *= value(e)
+        else:
+            den *= value(e)
+    out, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Moebius product for {name} is not exact")
+    return out
+
+
 def cyclotomic_value(n: int, b: int) -> int:
     """Phi_n(b) = prod_{e | n} (b**e - 1)**mu(n/e), by one exact division."""
     if n < 1:
@@ -69,16 +88,8 @@ def cyclotomic_value(n: int, b: int) -> int:
     if b in (-1, 0, 1):
         # some b**e - 1 vanishes; the polynomial is cheap at these points
         return cyclotomic(n).evaluate(b)
-    num = den = 1
-    for e, mu in _mobius_terms(n):
-        if mu > 0:
-            num *= b**e - 1
-        else:
-            den *= b**e - 1
-    out, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"Moebius product for Phi_{n}({b}) is not exact")
-    return out
+    return _mobius_product(_mobius_terms(n), lambda e: b**e - 1,
+                           f"Phi_{n}({b})")
 
 
 def cyclotomic(n: int) -> IntPoly:
@@ -151,44 +162,48 @@ def chebyshev_t(n: int) -> IntPoly:
     return next(islice(chebyshev_terms(), n, None))
 
 
+def _chebyshev_values(s: int):
+    # T_0(s), T_1(s), ... by the value recurrence t_{k+1} = 2 s t_k - t_{k-1}
+    t_prev, t_cur = 1, s
+    yield t_prev
+    while True:
+        yield t_cur
+        t_prev, t_cur = t_cur, 2 * s * t_cur - t_prev
+
+
 def chebyshev_t_value(n: int, s: int) -> int:
     """T_n(s) by the value recurrence t_{k+1} = 2 s t_k - t_{k-1}."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 1
-    t_prev, t_cur = 1, s
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2 * s * t_cur - t_prev
-    return t_cur
+    return next(islice(_chebyshev_values(s), n, None))
 
 
 def chebyshev_factor_values(n: int, s: int) -> list[tuple[int, int]]:
     """Pairs (d, psi_{4d}(2s)) over divisors d of n with n/d odd.
 
     The values multiply to exactly 2*T_n(s); this identity is checked.
-    Values are produced by recursion on the identity itself,
-    psi_{4P}(2s) = 2 T_P(s) / prod_{d | P, P/d odd, d < P} psi_{4d}(2s),
-    so no large-degree polynomial is ever built.  A zero intermediate
-    (possible only for tiny |s|) falls back to direct evaluation.
+    With t = n & -n every such d is t*e for an odd e | n/t, and Moebius
+    inversion of the identity over e gives
+    psi_{4te}(2s) = prod_{e' | e} (2 T_{te'}(s))**mu(e/e'),
+    one exact division per value; one pass of the value recurrence up to
+    n gives every T_{te'}(s), so no large-degree polynomial is built.
+    T_e(0) = 0 for odd e, so at s = 0 with n odd the values come from psi.
     """
     if n < 1:
         raise ValueError("index must be positive")
-    odd_cofactor = [d for d in divisors(n) if (n // d) % 2 == 1]
-    values: dict[int, int] = {}
-    for d in odd_cofactor:
-        prod = 1
-        for e in odd_cofactor:
-            if e < d and d % e == 0 and (d // e) % 2 == 1:
-                prod *= values[e]
-        numer = 2 * chebyshev_t_value(d, s)
-        if prod != 0 and numer % prod == 0:
-            values[d] = numer // prod
-        else:
-            values[d] = psi(4 * d).evaluate(2 * s)
-    check = 1
-    for d in odd_cofactor:
-        check *= values[d]
-    if check != 2 * chebyshev_t_value(n, s):
+    t = n & -n
+    odd = divisors(n // t)
+    wanted = {t * e for e in odd}
+    two_t = {k: 2 * v for k, v in enumerate(islice(_chebyshev_values(s), n + 1))
+             if k in wanted}
+    if s == 0 and t == 1:
+        values = [psi(4 * e).evaluate(0) for e in odd]
+    else:
+        values = [
+            _mobius_product(_mobius_terms(e), lambda f: two_t[t * f],
+                            f"psi_{4 * t * e}({2 * s})")
+            for e in odd
+        ]
+    if math.prod(values) != two_t[n]:
         raise ArithmeticError("psi product identity failed")
-    return [(d, values[d]) for d in odd_cofactor]
+    return [(t * e, v) for e, v in zip(odd, values)]

@@ -105,9 +105,7 @@ def verify_distinct(cert: WitnessCertificate) -> VerificationReport:
 
 
 def verify_legendre(
-    cert: WitnessCertificate,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    seed: int = 0,
+    cert: WitnessCertificate, budget: int = DEFAULT_FACTOR_BUDGET
 ) -> VerificationReport:
     """Check the legendre rule by factoring every listed factor.
 
@@ -123,7 +121,7 @@ def verify_legendre(
         if f == 1:
             continue
         try:
-            fac = factorize(f, budget, seed)
+            fac = factorize(f, budget)
         except FactorizationBudgetError:
             return _report(cert, "legendre", "unverifiable", unverifiable_factor=f)
         for p, e in fac.factors:
@@ -140,13 +138,11 @@ def verify_legendre(
 
 
 def verify(
-    cert: WitnessCertificate,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    seed: int = 0,
+    cert: WitnessCertificate, budget: int = DEFAULT_FACTOR_BUDGET
 ) -> VerificationReport:
     """Distinct rule first; fall back to the legendre rule only when the
     single obstruction is a duplicated factor."""
     report = verify_distinct(cert)
     if not report.accepted and report.reason == "duplicate-factor":
-        return verify_legendre(cert, budget, seed)
+        return verify_legendre(cert, budget)
     return report

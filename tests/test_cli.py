@@ -276,6 +276,22 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert code == 64
 
 
+def test_seed_flag_is_gone(tmp_path, capsys):
+    # factoring and primality take no seed, so neither command has --seed
+    out = tmp_path / "certs.json"
+    assert cli.main(["construct", "--class", "quadratic", "--poly", "1,0,1",
+                     "--out", str(out)]) == 0
+    for argv in (
+        ["construct", "--class", "quadratic", "--poly", "1,0,1", "--seed", "1"],
+        ["verify", str(out), "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 64
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: --seed 1" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["binomial", "--m", "2", "--s", "2", "--count", "3"], "count"),
     (["cubic", "--poly", "1,1,1,1", "--ratio", "2"], "ratio"),

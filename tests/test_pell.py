@@ -4,8 +4,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import diop_DN
 
+from factoridiv.numtheory import decimal_digits_upper
 from factoridiv.pell import (
     PellBudgetError,
     fundamental_solution,
@@ -59,6 +62,45 @@ def test_digit_budget():
         fundamental_solution(661, digit_budget=5)
     assert ei.value.d == 661
     assert ei.value.budget == 5
+
+
+def convergent_walk(d, digit_budget):
+    """Reference: test h**2 - d k**2 = 1 at every convergent, check the
+    digit budget at every convergent that fails the test."""
+    a0 = math.isqrt(d)
+    p, q, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while True:
+        if h * h - d * k * k == 1:
+            return h, k
+        digits = decimal_digits_upper(h.bit_length())
+        if digits > digit_budget:
+            raise PellBudgetError(d, digits, digit_budget)
+        p = a * q - p
+        q = (d - p * p) // q
+        a = (a0 + p) // q
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+
+
+def outcome(d, digit_budget, solver):
+    try:
+        return solver(d, digit_budget)
+    except PellBudgetError as exc:
+        return ("budget", exc.d, exc.digits, exc.budget, str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 10**5), digit_budget=st.integers(1, 60))
+def test_fundamental_matches_convergent_walk(d, digit_budget):
+    # the period test returns the same solutions and raises the same
+    # budget errors as testing every convergent
+    if math.isqrt(d) ** 2 == d:
+        d += 1
+    assert outcome(d, digit_budget, fundamental_solution) == outcome(
+        d, digit_budget, convergent_walk
+    )
 
 
 def test_stream_and_pair_at():

@@ -103,9 +103,10 @@ def test_chebyshev_value_recurrence():
 
 
 def test_chebyshev_factor_values():
-    # product over divisors d of n with n/d odd equals 2 T_n(s)
-    for n in (1, 2, 6, 12, 15, 21, 40, 105):
-        for s in (2, 3):
+    # product over divisors d of n with n/d odd equals 2 T_n(s); s = 0 and
+    # s = +-1 included, and n with large powers of 2
+    for n in (1, 2, 6, 12, 15, 21, 40, 64, 96, 105, 192):
+        for s in range(-3, 4):
             pairs = chebyshev_factor_values(n, s)
             assert [d for d, _ in pairs] == [
                 d for d in divisors(n) if (n // d) % 2 == 1
