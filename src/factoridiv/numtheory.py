@@ -225,9 +225,8 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> PrimeFactorization
     """Full prime factorization of a nonzero integer.
 
     Deterministic for a fixed m: rho draws its starts from a generator
-    seeded with m.  Raises FactorizationBudgetError
-    when the rho iteration budget runs out, with the partial split
-    attached.
+    seeded with m.  Raises FactorizationBudgetError when the rho
+    iteration budget runs out, with the partial split attached.
     """
     if m == 0:
         raise ValueError("cannot factor zero")
