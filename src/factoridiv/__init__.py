@@ -21,7 +21,7 @@ from .construct import (
     schinzel_pieces,
 )
 from .verify import VerificationReport, verify, verify_distinct, verify_legendre
-from .scan import ScanRecord, ScanSummary, scan_range, certificate_smoothness
+from .scan import ScanRecord, ScanSummary, scan_range
 
 __all__ = [
     "IntPoly",
@@ -45,5 +45,4 @@ __all__ = [
     "ScanRecord",
     "ScanSummary",
     "scan_range",
-    "certificate_smoothness",
 ]

@@ -93,6 +93,14 @@ def _json_int(literal: str) -> int:
     return _int(literal)
 
 
+def _params(value) -> dict:
+    # verify never reads params, so they are kept as written, not converted
+    if not (isinstance(value, dict)
+            and all(isinstance(v, str) for v in value.values())):
+        raise ValueError("certificate field 'params' must map names to strings")
+    return dict(value)
+
+
 def cert_from_dict(data: dict) -> WitnessCertificate:
     """Parse one certificate object; unknown fields are ignored, unknown
     versions rejected."""
@@ -112,7 +120,7 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         class_tag=str(data["class"]),
         n=_int(data["n"]),
         factors=tuple(_int(f) for f in data["factors"]),
-        params={str(k): str(v) for k, v in dict(data.get("params", {})).items()},
+        params=_params(data.get("params", {})),
         mode_hint=str(data.get("mode", "distinct")),
     )
 
@@ -225,7 +233,10 @@ def _cmd_construct(args, budget: int) -> int:
 
 def _cmd_verify(args, budget: int) -> int:
     with open(args.file) as fh:
-        data = json.load(fh, parse_int=_json_int)
+        try:
+            data = json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            raise UsageError("certificate file is nested too deeply") from None
     if not isinstance(data, list):
         raise UsageError("certificate file must hold a JSON array")
     any_reject = False

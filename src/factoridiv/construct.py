@@ -47,6 +47,7 @@ from .numtheory import (
     is_perfect_square,
 )
 from .pell import (
+    DEFAULT_DIGIT_BUDGET,
     PellBudgetError,
     fundamental_solution,
     indices_with_s_divisible,
@@ -224,6 +225,8 @@ def construct_quadratic(
 # det((g1 + 2 g2 x) I - T M_E) of the multiplication-by-E matrix, taken
 # primitive.  Exact division of f(g(x)) by F1 then certifies the split;
 # every candidate that reaches the caller has been verified that way.
+# schinzel_pieces, the library's entry to the engine, returns the first
+# such split in the order of the public tau grid.
 
 
 def _tau_pairs(denominators, max_numerator) -> list[tuple[int, int]]:
@@ -335,16 +338,6 @@ def _square_rows(rows, kappa: int):
                 yield row, root
 
 
-def _tau_screen(f: IntPoly, kappa: int, taus):
-    """Yield (tau, e0, d1, r) for each tau with d1 != 0 and
-    d0 + 2 kappa d1 = r**2 a rational square; lead(f) must be positive."""
-    A = f.coefficient(3)
-    for (tau, E, N1, _, _), root in _square_rows(_tau_rows(f, taus), kappa):
-        de = tau.denominator
-        D = 2 * A * A * de * de
-        yield tau, Fraction(E, D), Fraction(N1, A * D * de // 2), Fraction(root, D)
-
-
 def _e_matrix(f: IntPoly, tau: Fraction, E: int):
     """D M_E with D = 2 A**2 delta**2, M_E the matrix of multiplication by
     theta**2 + tau theta + e0 in Q[theta]/(f)."""
@@ -405,18 +398,12 @@ def _schinzel_candidates(f: IntPoly, kappa: int, rows):
 
 
 class SchinzelPieces(
-    namedtuple(
-        "SchinzelPieces",
-        "g f1 f2 content A B kappa tau formula_g formula_f1 disc_marker",
-    )
+    namedtuple("SchinzelPieces", "g f1 f2 content A B kappa tau")
 ):
     """A verified split f(g(x)) = content * f1(x) * f2(x).
 
     A and B are the leading and negated linear coefficients of g, the
-    quantities the Pell linkage runs on.  formula_g, formula_f1 and
-    disc_marker are the closed-form display values for the same input;
-    they are reported for comparison and are not required to satisfy the
-    division identity (g, f1, f2 always do).
+    quantities the Pell linkage runs on.
     """
 
     __slots__ = ()
@@ -425,61 +412,33 @@ class SchinzelPieces(
 class SchinzelInconsistency(Exception):
     """No split was found in the scan grid.
 
-    Carries the closed-form candidates and the scan size so callers can
-    report exactly what was tried."""
+    Carries the scan size so callers can report exactly what was tried."""
 
-    def __init__(self, poly, kappa, formula_g, formula_f1, scanned):
+    def __init__(self, poly, kappa, scanned):
         super().__init__(
             f"no quadratic/cubic split found for {poly} at kappa={kappa} "
             f"({scanned} parameter values scanned)"
         )
         self.poly = poly
         self.kappa = kappa
-        self.formula_g = formula_g
-        self.formula_f1 = formula_f1
         self.scanned = scanned
 
 
-def _display_formula(f: IntPoly, kappa: int):
-    # closed-form candidate pair; kept for reporting
-    a, b, c, d = (f.coefficient(i) for i in (3, 2, 1, 0))
-    big_a = 2 * a * (
-        (2 * a * kappa + b) * (4 * a * a * kappa * kappa + 4 * a * c - b * b)
-        - 8 * a * a * d
-    )
-    big_b = 12 * a * a * kappa * kappa + 4 * a * b * kappa + 4 * a * c - b * b
-    g = IntPoly((2 * kappa, big_b, big_a))
-    f1 = IntPoly((-1, 3 * kappa + 2 * a * b, -big_b, big_a))
-    marker = big_b * big_b - 3 * big_a * (3 * kappa + 2 * a * b)
-    return g, f1, marker
-
-
 def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
-    """First verified split of poly(g(x)) for a positive cubic.
-
-    The closed-form display pair is tried first; if it fails the exact
-    division test the parameter grid is scanned.  Raises
-    SchinzelInconsistency when nothing in the grid verifies.
+    """First verified split of poly(g(x)) for a positive cubic, in the
+    order of the public tau grid.  Raises SchinzelInconsistency when
+    nothing in the grid verifies.
     """
     if poly.degree != 3 or any(c <= 0 for c in poly.coeffs):
         raise ValueError("need a cubic with positive coefficients")
     if kappa < 1:
         raise ValueError("kappa must be positive")
-    formula_g, formula_f1, marker = _display_formula(poly, kappa)
-
-    def _pack(g, f1, f2, content, tau):
-        return SchinzelPieces(
-            g, f1, f2, content, g.coefficient(2), -g.coefficient(1), kappa, tau,
-            formula_g, formula_f1, marker,
-        )
-
-    got = _split(poly, formula_g, formula_f1)
-    if got is not None:
-        return _pack(formula_g, formula_f1, got.primitive, got.content,
-                     Fraction(0))
     for hit in _schinzel_candidates(poly, kappa, _tau_rows(poly, _TAUS_PUBLIC)):
-        return _pack(hit.g, hit.f1, hit.f2, hit.content, hit.tau)
-    raise SchinzelInconsistency(poly, kappa, formula_g, formula_f1, len(_TAUS_PUBLIC))
+        return SchinzelPieces(
+            hit.g, hit.f1, hit.f2, hit.content,
+            hit.g.coefficient(2), -hit.g.coefficient(1), kappa, hit.tau,
+        )
+    raise SchinzelInconsistency(poly, kappa, len(_TAUS_PUBLIC))
 
 
 # --------------------------------------------------------------------------
@@ -643,7 +602,7 @@ def construct_cubic(
     l_max: int = 30,
     per_kappa: int = 6,
     index_cap: int = 8,
-    pell_digit_budget: int = 5000,
+    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
     max_n_digits: int = 200_000,
 ) -> list[WitnessCertificate]:
     """Certificates for a cubic P with positive leading coefficient.
@@ -693,7 +652,7 @@ def construct_quartic_cubic_linear(
     l_max: int = 30,
     per_kappa: int = 6,
     index_tries: int = 3,
-    pell_digit_budget: int = 5000,
+    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
     max_n_digits: int = 400_000,
 ) -> list[WitnessCertificate]:
     """Certificates for P = cubic * linear.
@@ -763,7 +722,7 @@ def construct_quartic_biquadratic(
     l_max: int = 12,
     index_tries: int = 3,
     modulus_cap: int = 5000,
-    pell_digit_budget: int = 5000,
+    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
     max_n_digits: int = 200_000,
 ) -> list[WitnessCertificate]:
     """Certificates for P = first * second, both positive quadratics.

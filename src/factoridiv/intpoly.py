@@ -60,18 +60,6 @@ class IntPoly:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def from_string(cls, text: str) -> "IntPoly":
         """Parse the comma-separated ascending coefficient form.
 
@@ -152,9 +140,6 @@ class IntPoly:
             a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
-    def negate(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
     def multiply(self, other: "IntPoly") -> "IntPoly":
         if not self.coeffs or not other.coeffs:
             return IntPoly()
@@ -169,36 +154,6 @@ class IntPoly:
     def scale(self, k: int) -> "IntPoly":
         return IntPoly(k * c for c in self.coeffs)
 
-    def __add__(self, other):
-        return self.add(self._coerce(other))
-
-    def __sub__(self, other):
-        return self.subtract(self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.multiply(self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __radd__(self, other):
-        return self._coerce(other).add(self)
-
-    def __rsub__(self, other):
-        return self._coerce(other).subtract(self)
-
-    def __neg__(self):
-        return self.negate()
-
-    @staticmethod
-    def _coerce(value) -> "IntPoly":
-        if isinstance(value, IntPoly):
-            return value
-        if isinstance(value, int):
-            return IntPoly((value,))
-        raise TypeError(f"cannot treat {value!r} as an integer polynomial")
-
     # -- evaluation and composition ---------------------------------------
 
     def evaluate(self, x: int) -> int:
@@ -207,9 +162,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __call__(self, x: int) -> int:
-        return self.evaluate(x)
 
     def compose(self, inner: "IntPoly") -> "IntPoly":
         """self(inner(x)), via Horner on polynomial values."""

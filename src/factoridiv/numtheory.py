@@ -1,5 +1,6 @@
 """Integer utilities: primality, factorization with budgets, Legendre
-valuations of factorials, and the prime runs of Mertens-style selection.
+valuations of factorials, the prime runs of Mertens-style selection, and
+log ratios and decimal conversions of huge integers.
 
 Factorization is trial division over a small sieve followed by Brent's
 variant of Pollard rho.  Rho work is metered by an iteration budget so
@@ -24,7 +25,6 @@ __all__ = [
     "is_probable_prime",
     "next_prime",
     "is_perfect_square",
-    "valuation",
     "nu_p_factorial",
     "factorize",
     "euler_phi",
@@ -108,7 +108,7 @@ def is_probable_prime(n: int) -> bool:
         return False
     if n < _TRIAL_BOUND:
         return n in _SMALL_PRIME_SET
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -155,20 +155,6 @@ def is_perfect_square(m: int) -> bool:
         return False
     r = math.isqrt(m)
     return r * r == m
-
-
-def valuation(m: int, p: int) -> int:
-    """Exponent of p in m; m nonzero, p >= 2."""
-    if m == 0:
-        raise ValueError("valuation of zero is undefined")
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    m = abs(m)
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 def nu_p_factorial(p: int, n: int) -> int:
@@ -310,7 +296,6 @@ def find_prime_divisor_of_values(
     q,
     lower_bound: int,
     scan_limit: int = 10_000,
-    budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> tuple[int, int]:
     """First (l, p) with p prime, p > lower_bound, p | q(l), scanning
     l = 0, 1, 2, ... and taking the smallest qualifying prime of each
@@ -319,7 +304,7 @@ def find_prime_divisor_of_values(
         v = abs(q.evaluate(l))
         if v < 2:
             continue
-        fac = factorize(v, budget)
+        fac = factorize(v)
         for p, _ in fac.factors:
             if p > lower_bound:
                 return l, p
@@ -328,9 +313,9 @@ def find_prime_divisor_of_values(
     )
 
 
-def decimal_log_ratio(a: int, b: int, places: int = 4) -> Decimal:
-    """log(a)/log(b) for integers a >= 1, b >= 2, quantized to the given
-    number of decimal places (banker's rounding)."""
+def decimal_log_ratio(a: int, b: int) -> Decimal:
+    """log(a)/log(b) for integers a >= 1, b >= 2, quantized to four decimal
+    places (banker's rounding)."""
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
     with localcontext() as ctx:
@@ -341,21 +326,20 @@ def decimal_log_ratio(a: int, b: int, places: int = 4) -> Decimal:
         # digits of a.  Each math.log of an int >= 2 is within a relative
         # 2**-51 of the true value (the rounding of a or m, and one ulp of
         # libm's log, against log a >= log 2); the quotient and the product
-        # by 10**places (an exact float for places <= 22) add 2**-53 each.
-        # So x is within 1.2e-15 * x of X = 10**places * ln a / ln b, and
-        # the 50-digit quotient below within about 1e-48 * X of it.  If x
-        # is farther than 1e-9 * (1 + x) from the half-integer k + 1/2
-        # (k = floor(x), so x - k is exact), X and the 50-digit quotient
-        # lie on the same side of it, and both round to the integer nearest
-        # x.  Every x near a tie, and every x >= 5e8 (where the band is
-        # wider than 1/2), takes the exact body below.
-        if 0 <= places <= 22:
-            x = math.log(a) / math.log(b) * 10**places
-            k = math.floor(x)
-            if abs(x - k - 0.5) > 1e-9 * (1 + x):
-                return Decimal(k + (x - k > 0.5)).scaleb(-places)
+        # by 10**4 (an exact float) add 2**-53 each.  So x is within
+        # 1.2e-15 * x of X = 10**4 * ln a / ln b, and the 50-digit quotient
+        # below within about 1e-48 * X of it.  If x is farther than
+        # 1e-9 * (1 + x) from the half-integer k + 1/2 (k = floor(x), so
+        # x - k is exact), X and the 50-digit quotient lie on the same side
+        # of it, and both round to the integer nearest x.  Every x near a
+        # tie, and every x >= 5e8 (where the band is wider than 1/2), takes
+        # the exact body below.
+        x = math.log(a) / math.log(b) * 10**4
+        k = math.floor(x)
+        if abs(x - k - 0.5) > 1e-9 * (1 + x):
+            return Decimal(k + (x - k > 0.5)).scaleb(-4)
         val = Decimal(a).ln() / Decimal(b).ln()
-        return val.quantize(Decimal(1).scaleb(-places))
+        return val.quantize(Decimal(1).scaleb(-4))
 
 
 # Kept out of __all__, whose functions bench/layers.py traces: it runs once

@@ -1,13 +1,14 @@
-"""Pell equation r**2 - D s**2 = 1: fundamental solutions, the solution
-stream, and divisibility filtering of the s-sequence.
+"""Pell equation r**2 - D s**2 = 1: fundamental solutions, the k-th
+solution, and divisibility filtering of the s-sequence.
 
 The fundamental solution comes from the continued fraction expansion of
 sqrt(D).  The (P, Q, a) recurrence of that expansion runs on small
 integers, and the convergents h_i/k_i satisfy
 h_i**2 - D k_i**2 = (-1)**(i+1) Q_{i+1}, so a solution is found by testing
-Q_{i+1} = 1 at odd i and no convergent is squared.  Solutions (r_k, s_k)
-then follow the linear recurrence x_{k+1} = 2 r1 x_k - x_{k-1} starting
-from (1, 0) and (r1, s1).
+Q_{i+1} = 1 at odd i and no convergent is squared.  The k-th solution
+(r_k, s_k) comes from powering r1 + s1 sqrt(D); the divisibility filter
+runs the linear recurrence x_{k+1} = 2 r1 x_k - x_{k-1}, from (1, 0) and
+(r1, s1), mod the divisor.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .numtheory import decimal_digits_upper
 __all__ = [
     "PellBudgetError",
     "fundamental_solution",
-    "stream",
     "indices_with_s_divisible",
     "pair_at",
 ]
@@ -70,29 +70,6 @@ def fundamental_solution(
         a = (a0 + p) // q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-
-
-def stream(d: int, fundamental: tuple[int, int] | None = None):
-    """Iterator over all solutions (r_k, s_k), k = 0, 1, 2, ...
-
-    Starts at the trivial (1, 0); s_k is strictly increasing.  The
-    fundamental solution is checked before the iterator is returned.
-    """
-    if fundamental is None:
-        fundamental = fundamental_solution(d)
-    r1, s1 = fundamental
-    if r1 <= 0 or s1 <= 0 or r1 * r1 - d * s1 * s1 != 1:
-        raise ValueError("not a Pell solution")
-
-    def pairs():
-        prev, cur = (1, 0), (r1, s1)
-        while True:
-            yield prev
-            prev, cur = cur, (
-                2 * r1 * cur[0] - prev[0], 2 * r1 * cur[1] - prev[1]
-            )
-
-    return pairs()
 
 
 def pair_at(d: int, fundamental: tuple[int, int], k: int) -> tuple[int, int]:

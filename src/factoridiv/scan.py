@@ -50,7 +50,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
 
-from .certificate import WitnessCertificate
 from .intpoly import IntPoly
 from .numtheory import decimal_log_ratio, sieve_primes
 
@@ -59,7 +58,6 @@ __all__ = [
     "ScanSummary",
     "scan_range",
     "record_json",
-    "certificate_smoothness",
 ]
 
 # values per sieve window: small enough to keep memory flat, large enough
@@ -272,7 +270,3 @@ def record_json(rec: ScanRecord) -> str:
         separators=(",", ":"),
     )
 
-
-def certificate_smoothness(cert: WitnessCertificate) -> Decimal:
-    """log(max factor)/log(n) to four decimal places."""
-    return decimal_log_ratio(max(cert.factors), cert.n)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 from .certificate import WitnessCertificate
 from .numtheory import (
@@ -49,8 +48,7 @@ class VerificationReport(
     margins maps each prime of the factorization (legendre rule only) to
     nu_p(n!) - nu_p(product), never negative on acceptance.
     max_factor is the largest factor and n the certificate's n;
-    exponent is log(max factor)/log(n) to four decimal places, and
-    max_factor_ratio is max_factor/n, reduced only when asked for.
+    exponent is log(max factor)/log(n) to four decimal places.
     """
 
     __slots__ = ()
@@ -59,13 +57,6 @@ class VerificationReport(
         # a dict of its own for each report
         margins = {} if margins is None else margins
         return super().__new__(cls, accepted, rule, reason, margins, *rest, **fields)
-
-    @property
-    def max_factor_ratio(self) -> Fraction | None:
-        # a gcd of integers as large as n: only paid for on access
-        if self.max_factor is None:
-            return None
-        return Fraction(self.max_factor, self.n)
 
 
 def _report(cert: WitnessCertificate, rule: str, reason=None, **fields):

@@ -256,6 +256,44 @@ def test_verify_needs_an_array(tmp_path, capsys):
     assert code == 64 and "array" in err
 
 
+def test_verify_deeply_nested_json_is_a_usage_error(tmp_path):
+    # json.load raises RecursionError; the verdict is a usage error, not
+    # the REJECT exit code or a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "factoridiv.cli", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "factoridiv: error: certificate file is nested too deeply\n"
+    )
+
+
+@pytest.mark.parametrize("params", [
+    {"q": 2},  # construct writes every value as a string
+    {"q": {"nested": "2"}},
+    [["q", "2"]],  # dict() would read it as {"q": "2"}
+    "q",
+    None,
+])
+def test_verify_rejects_params_that_are_not_strings(params, tmp_path, capsys):
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    entry["params"] = params
+    code, outtext, _ = run(["verify", write_certs(tmp_path / "p.json", [entry])],
+                           capsys)
+    assert (code, outtext) == (1, (
+        "cert 0: REJECT reason=malformed (certificate field 'params' must "
+        "map names to strings)\n"))
+
+
 def test_usage_errors_exit_64(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["construct", "--class", "nonsense"])

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factoridiv.construct import construct_quadratic
 from factoridiv import scan
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import decimal_log_ratio, sieve_primes
 from factoridiv.scan import (
     ScanRecord,
-    certificate_smoothness,
     record_json,
     scan_range,
 )
@@ -105,11 +103,6 @@ def test_record_json_format():
     assert record_json(records[0]) == (
         '{"n":"239","value":"57122","p_plus":"13","exponent":"0.4684"}'
     )
-
-
-def test_certificate_smoothness():
-    cert = construct_quadratic(X2P1, 1)[0]
-    assert certificate_smoothness(cert) == decimal_log_ratio(17, 21)
 
 
 # trial division by these primes factors any value below 9973**2

@@ -43,9 +43,9 @@ def test_cyclotomic_anchors():
 
 def test_cyclotomic_product_identity():
     for n in range(1, 61):
-        prod = IntPoly.one()
+        prod = IntPoly((1,))
         for d in divisors(n):
-            prod = prod * cyclotomic(d)
+            prod = prod.multiply(cyclotomic(d))
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
@@ -99,7 +99,7 @@ def test_chebyshev_composition():
 def test_chebyshev_value_recurrence():
     for n in range(0, 31):
         for s in range(-3, 4):
-            assert chebyshev_t_value(n, s) == chebyshev_t(n)(s)
+            assert chebyshev_t_value(n, s) == chebyshev_t(n).evaluate(s)
 
 
 def test_chebyshev_factor_values():
@@ -122,9 +122,9 @@ def test_chebyshev_factor_values():
 
 def test_cyclotomic_product_identity_to_250():
     for n in range(1, 251):
-        prod = IntPoly.one()
+        prod = IntPoly((1,))
         for d in divisors(n):
-            prod = prod * cyclotomic(d)
+            prod = prod.multiply(cyclotomic(d))
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 
@@ -176,9 +176,9 @@ def test_cyclotomic_value_matches_sympy():
 def test_cyclotomic_product_identity_to_300():
     # extends test_cyclotomic_product_identity_to_250
     for n in range(251, 301):
-        prod = IntPoly.one()
+        prod = IntPoly((1,))
         for d in divisors(n):
-            prod = prod * cyclotomic(d)
+            prod = prod.multiply(cyclotomic(d))
         assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
 
 

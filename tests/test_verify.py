@@ -2,7 +2,6 @@
 
 import importlib
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 
 from factoridiv.construct import WitnessCertificate, construct_quadratic
@@ -26,7 +25,7 @@ def test_distinct_accepts_constructed():
     assert report.accepted
     assert report.rule == "distinct"
     assert report.reason is None
-    assert report.max_factor_ratio == Fraction(17, 21)
+    assert (report.max_factor, report.n) == (17, 21)
     assert report.exponent == str(decimal_log_ratio(17, 21))
 
 
@@ -136,7 +135,7 @@ def test_legendre_matches_factorial_oracle_small():
     # the legendre rule is exact for a single-factor certificate:
     # acceptance iff P(n) divides n!
     for n in range(2, 40):
-        value = X2P1(n)
+        value = X2P1.evaluate(n)
         c = cert(X2P1, n, (value,), mode="legendre")
         truth = math.factorial(n) % value == 0
         assert verify_legendre(c).accepted == truth, n
