@@ -5,8 +5,16 @@ checking path imports none of the constructors' search code.
 """
 
 from collections import namedtuple
+from decimal import Decimal
 
 __all__ = ["WitnessCertificate"]
+
+
+def _integer(x) -> bool:
+    # verify checks a certificate read from a file in Decimal
+    if isinstance(x, Decimal):
+        return x.is_finite() and x == x.to_integral_value()
+    return isinstance(x, int)
 
 
 class WitnessCertificate(
@@ -16,19 +24,22 @@ class WitnessCertificate(
 
     The claim itself is checked by the verify module; construction only
     enforces structural sanity so that tampered certificates remain
-    representable (and rejectable).
+    representable (and rejectable).  n and the factors are all ints or
+    all integral Decimals.
     """
 
     __slots__ = ()
 
     def __new__(cls, poly, class_tag, n, factors, params, mode_hint):
-        if not isinstance(n, int) or n < 2:
+        if not _integer(n) or n < 2:
             raise ValueError("n must be an integer >= 2")
         if not factors:
             raise ValueError("empty factor list")
         for f in factors:
-            if not isinstance(f, int) or f < 1:
+            if not _integer(f) or f < 1:
                 raise ValueError("factors must be positive integers")
+            if isinstance(f, Decimal) != isinstance(n, Decimal):
+                raise ValueError("n and factors must be all ints or all Decimals")
         if mode_hint not in ("distinct", "legendre"):
             raise ValueError(f"unknown mode hint {mode_hint!r}")
         return super().__new__(

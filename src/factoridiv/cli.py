@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .certificate import WitnessCertificate
@@ -29,6 +30,7 @@ from .intpoly import IntPoly
 from .numtheory import (
     DEFAULT_FACTOR_BUDGET,
     decimal_digits,
+    decimal_from_int,
     decimal_str,
     int_from_digits,
 )
@@ -86,6 +88,16 @@ def _int(value) -> int:
     return int(value)
 
 
+def _decimal(value) -> Decimal:
+    # n and the factors are checked in decimal, the base they are written
+    # in: Decimal() reads plain digits in linear time; anything else is
+    # read by _int, with its checks and messages, and brought across
+    if (isinstance(value, str) and len(value) <= MAX_DIGITS
+            and value.isascii() and value.isdigit()):
+        return Decimal(value)
+    return decimal_from_int(_int(value))
+
+
 def _json_int(literal: str) -> int:
     # json would parse an integer literal with int(), quadratic on 3.11
     if literal.startswith("-"):
@@ -101,9 +113,18 @@ def _params(value) -> dict:
     return dict(value)
 
 
+def _text(data: dict, key: str, default=None) -> str:
+    # str() of a huge JSON number would take quadratic time
+    value = data.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"certificate field {key!r} must be a string")
+    return value
+
+
 def cert_from_dict(data: dict) -> WitnessCertificate:
     """Parse one certificate object; unknown fields are ignored, unknown
-    versions rejected."""
+    versions rejected.  n and the factors become Decimals, the poly
+    coefficients ints."""
     if not isinstance(data, dict):
         raise ValueError("certificate entry must be an object")
     if data.get("v") != CERT_VERSION:
@@ -117,11 +138,11 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
     poly = IntPoly(_int(c) for c in data["poly"])
     return WitnessCertificate(
         poly=poly,
-        class_tag=str(data["class"]),
-        n=_int(data["n"]),
-        factors=tuple(_int(f) for f in data["factors"]),
+        class_tag=_text(data, "class"),
+        n=_decimal(data["n"]),
+        factors=tuple(_decimal(f) for f in data["factors"]),
         params=_params(data.get("params", {})),
-        mode_hint=str(data.get("mode", "distinct")),
+        mode_hint=_text(data, "mode", "distinct"),
     )
 
 

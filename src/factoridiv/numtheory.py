@@ -15,7 +15,20 @@ import math
 import random
 import sys
 from collections import namedtuple
-from decimal import Decimal, localcontext
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -313,33 +326,79 @@ def find_prime_divisor_of_values(
     )
 
 
-def decimal_log_ratio(a: int, b: int) -> Decimal:
-    """log(a)/log(b) for integers a >= 1, b >= 2, quantized to four decimal
-    places (banker's rounding)."""
+# Integer arithmetic in Decimal: no sum or product of integers needs more
+# than MAX_PREC digits or leaves the exponent range, so nothing rounds, and
+# if anything did it would raise.  Use it through localcontext(EXACT), which
+# works on a copy.
+EXACT = Context(
+    prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, Overflow],
+)
+
+# The 50-digit context of log_ratio, fixed here so that no caller's
+# rounding or traps reach it.
+_LOG_CONTEXT = Context(
+    prec=50, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+
+_LN10 = math.log(10)
+
+
+def _ln(x) -> float:
+    # ln x within a relative 2**-51 for x >= 2, at a cost that does not
+    # depend on the size of x.  math.log reads only the top bits of an int
+    # (beyond float range it takes log(m) + e*log(2) from a 53-bit frexp):
+    # the rounding of x or m and one ulp of libm's log stay within that,
+    # against ln x >= ln 2.  A Decimal of at most 20 digits gives math.log
+    # the float an int of its value would.  A longer one is y * 10**e with
+    # y in [10**19, 10**20) taken to 50 digits, and ln x = ln y + e*ln 10:
+    # the float rounding of y, libm's log and the two roundings of e*ln 10
+    # add at most 2**-53 * ln x together, as ln y and e*ln 10 sum to
+    # ln x > 46, and the final sum adds 2**-53 * ln x more.
+    if not isinstance(x, Decimal):
+        return math.log(x)
+    e = max(x.adjusted() - 19, 0)
+    return math.log(float(x.scaleb(-e))) + e * _LN10
+
+
+def log_ratio(a, b) -> Decimal:
+    """log(a)/log(b) for integers a >= 1, b >= 2, given as ints or as
+    integral Decimals, quantized to four decimal places (banker's
+    rounding)."""
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        # Fast path.  math.log reads only the top bits of an int (beyond
-        # float range it takes log(m) + e*log(2) from a 53-bit frexp), so it
-        # costs the same at any size, where Decimal(a) is quadratic in the
-        # digits of a.  Each math.log of an int >= 2 is within a relative
-        # 2**-51 of the true value (the rounding of a or m, and one ulp of
-        # libm's log, against log a >= log 2); the quotient and the product
-        # by 10**4 (an exact float) add 2**-53 each.  So x is within
-        # 1.2e-15 * x of X = 10**4 * ln a / ln b, and the 50-digit quotient
-        # below within about 1e-48 * X of it.  If x is farther than
-        # 1e-9 * (1 + x) from the half-integer k + 1/2 (k = floor(x), so
-        # x - k is exact), X and the 50-digit quotient lie on the same side
-        # of it, and both round to the integer nearest x.  Every x near a
-        # tie, and every x >= 5e8 (where the band is wider than 1/2), takes
-        # the exact body below.
-        x = math.log(a) / math.log(b) * 10**4
+    with localcontext(_LOG_CONTEXT):
+        # Fast path.  Each _ln is within a relative 2**-51 of the true
+        # value; the quotient and the product by 10**4 (an exact float) add
+        # 2**-53 each.  So x is within 1.2e-15 * x of
+        # X = 10**4 * ln a / ln b, and the 50-digit quotient below within
+        # about 1e-48 * X of it.  If x is farther than 1e-9 * (1 + x) from
+        # the half-integer k + 1/2 (k = floor(x), so x - k is exact), X and
+        # the 50-digit quotient lie on the same side of it, and both round
+        # to the integer nearest x.  Every x near a tie, and every x >= 5e8
+        # (where the band is wider than 1/2), takes the exact body below.
+        x = _ln(a) / _ln(b) * 10**4
         k = math.floor(x)
         if abs(x - k - 0.5) > 1e-9 * (1 + x):
             return Decimal(k + (x - k > 0.5)).scaleb(-4)
-        val = Decimal(a).ln() / Decimal(b).ln()
+        # Decimal.ln hardly slows with the size of its argument (under a
+        # millisecond at 2 * 10**6 digits); an int comes across by
+        # decimal_from_int, as Decimal(int) is quadratic on 3.10 and 3.11
+        num, den = (
+            v if isinstance(v, Decimal) else decimal_from_int(v) for v in (a, b)
+        )
+        val = num.ln() / den.ln()
         return val.quantize(Decimal(1).scaleb(-4))
+
+
+def decimal_log_ratio(a: int, b: int) -> Decimal:
+    """log(a)/log(b) for integers a >= 1, b >= 2, quantized to four decimal
+    places (banker's rounding)."""
+    # log_ratio takes Decimals too, and verify calls it directly: the
+    # bench/layers.py hook on this name reads the bit length of its
+    # arguments, which a Decimal does not have
+    return log_ratio(a, b)
 
 
 # Kept out of __all__, whose functions bench/layers.py traces: it runs once
@@ -363,11 +422,14 @@ def _pow10(k: int) -> int:
     return 10**k
 
 
-def decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, without str(): the upper estimate from the
-    bit length, lowered while n is below the power of ten under it."""
+def decimal_digits(n) -> int:
+    """len(str(n)) for an int n >= 0, without str(): the upper estimate
+    from the bit length, lowered while n is below the power of ten under
+    it.  For an integral Decimal n >= 0, its digits before the point."""
     if n < 0:
         raise ValueError("need n >= 0")
+    if isinstance(n, Decimal):
+        return n.adjusted() + 1
     d = decimal_digits_upper(n.bit_length())
     # not cached: each n needs its own power, and holding it raises the
     # peak memory of a verify run
@@ -395,10 +457,12 @@ def int_from_digits(digits: str) -> int:
     return parse(0, len(digits))
 
 
-def decimal_str(n: int) -> str:
+def decimal_str(n) -> str:
     """str(n), also when n has more digits than the process's
     int_max_str_digits allows; then it is converted _DIGIT_CHUNK digits at
-    a time."""
+    a time.  An integral Decimal gives its plain digits."""
+    if isinstance(n, Decimal):
+        return format(n.to_integral_value(), "f")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or decimal_digits_upper(n.bit_length()) <= limit:
         return str(n)
@@ -408,3 +472,40 @@ def decimal_str(n: int) -> str:
         chunks.append(f"{r:0{_DIGIT_CHUNK}d}")
     chunks.append(str(q))
     return "-" * (n < 0) + "".join(reversed(chunks))
+
+
+# bits per leaf of decimal_from_int: 2**2048 has 617 digits, so no int it
+# passes to Decimal() has more than _DIGIT_CHUNK digits
+_BIT_CHUNK = 2048
+
+
+# called only with _BIT_CHUNK * 2**j, inside EXACT
+@functools.lru_cache(maxsize=32)
+def _pow2(k: int) -> Decimal:
+    if k == _BIT_CHUNK:
+        return Decimal(1 << k)
+    half = _pow2(k // 2)
+    return half * half
+
+
+def decimal_from_int(n: int) -> Decimal:
+    """Decimal(n), exact, at any size.
+
+    The mirror of int_from_digits: a long n splits into a low part of
+    _BIT_CHUNK * 2**j bits and a high part no longer than that, joined as
+    hi * 2**k + lo in exact Decimal arithmetic, so libmpdec's fast
+    multiplication does the work: subquadratic, where Decimal(n) is
+    quadratic on 3.10 and 3.11."""
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= _BIT_CHUNK:
+            return Decimal(m)
+        k = _BIT_CHUNK
+        while 2 * k < bits:
+            k *= 2
+        hi = m >> k
+        return convert(hi, bits - k) * _pow2(k) + convert(m - (hi << k), k)
+
+    with localcontext(EXACT):
+        d = convert(abs(n), n.bit_length())
+        return -d if n < 0 else d

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,8 @@ def test_certificate_integers_parse_like_int(
         digits = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
     text = pad + sign + digits + pad
     assert _outcome(cli._int, text) == _outcome(int, text)
+    # n and the factors are read as Decimals, with the same verdicts
+    assert _outcome(cli._decimal, text) == _outcome(int, text)
 
 
 def test_huge_certificates_under_the_default_limit():
@@ -292,6 +295,47 @@ def test_verify_rejects_params_that_are_not_strings(params, tmp_path, capsys):
     assert (code, outtext) == (1, (
         "cert 0: REJECT reason=malformed (certificate field 'params' must "
         "map names to strings)\n"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("class", 7),
+    ("class", None),
+    ("class", ["quadratic"]),
+    ("class", {"name": "quadratic"}),
+    ("mode", 1),
+    ("mode", None),
+    ("mode", True),
+])
+def test_verify_needs_class_and_mode_strings(field, value, tmp_path, capsys):
+    # a format change: str() used to take any JSON value here
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    entry[field] = value
+    code, outtext, _ = run(["verify", write_certs(tmp_path / "c.json", [entry])],
+                           capsys)
+    assert (code, outtext) == (1, (
+        f"cert 0: REJECT reason=malformed (certificate field '{field}' must "
+        "be a string)\n"))
+
+
+def test_verify_rejects_a_huge_number_as_class(tmp_path, capsys):
+    # str() of it would be quadratic in its 200 000 digits
+    entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([dict(entry, **{"class": "@C@"})])
+                    .replace('"@C@"', "7" * 200_000))
+    assert run(["verify", str(path)], capsys)[:2] == (1, (
+        "cert 0: REJECT reason=malformed (certificate field 'class' must "
+        "be a string)\n"))
+
+
+def test_cert_from_dict_reads_n_and_factors_as_decimals():
+    cert = construct_quadratic(IntPoly((1, 0, 1)), 1)[0]
+    back = cli.cert_from_dict(cli.cert_to_dict(cert))
+    assert back == cert
+    assert {type(x) for x in (back.n, *back.factors)} == {Decimal}
+    assert {type(c) for c in back.poly.coeffs} == {int}
+    # and they write back the same
+    assert cli.cert_to_dict(back) == cli.cert_to_dict(cert)
 
 
 def test_usage_errors_exit_64(tmp_path, capsys):

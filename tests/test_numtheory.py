@@ -2,7 +2,7 @@
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import ROUND_UP, Decimal, Inexact, localcontext
 from unittest import mock
 
 import pytest
@@ -16,7 +16,9 @@ from factoridiv.numtheory import (
     BudgetExceededError,
     FactorizationBudgetError,
     decimal_digits,
+    decimal_from_int,
     decimal_log_ratio,
+    decimal_str,
     divisors,
     euler_phi,
     factorize,
@@ -194,14 +196,25 @@ class _SpyDecimal(Decimal):
 
 
 def _log_ratio_checked(a, b):
-    """decimal_log_ratio(a, b), equal to the reference in value,
-    str and repr; also returns whether the exact fallback ran."""
-    _SpyDecimal.calls = 0
-    with mock.patch.object(numtheory, "Decimal", _SpyDecimal):
-        got = decimal_log_ratio(a, b)
-    want = _reference_log_ratio(a, b)
-    assert (str(got), repr(got)) == (str(want), repr(want))
-    return _SpyDecimal.calls > 0
+    """decimal_log_ratio(a, b), equal to the reference in value, str and
+    repr, as is log_ratio of a and b as Decimals; also returns whether the
+    exact fallback ran, which it does for both or neither."""
+    # the fallback brings ints across by decimal_from_int
+    real = numtheory.decimal_from_int
+    ran = []
+    for args, patch in (
+        ((a, b), lambda v: _SpyDecimal(real(v))),
+        ((_SpyDecimal(real(a)), _SpyDecimal(real(b))), real),
+    ):
+        _SpyDecimal.calls = 0
+        with mock.patch.object(numtheory, "decimal_from_int", patch):
+            got = numtheory.log_ratio(*args)
+        want = _reference_log_ratio(a, b)
+        assert (str(got), repr(got)) == (str(want), repr(want))
+        ran.append(_SpyDecimal.calls > 0)
+    assert decimal_log_ratio(a, b) == got
+    assert ran[0] == ran[1]
+    return ran[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +260,18 @@ def test_decimal_log_ratio_fast_path_is_taken():
     assert not _log_ratio_checked(3**30_000 + 1, 2**20_000 + 3)
 
 
+def test_decimal_log_ratio_ignores_the_callers_context():
+    # 10**4 * log(2**5) / log(2**100000) = 1/2 exactly: a tie, which the
+    # 50-digit body rounds half-even to 0, whatever the caller has set
+    with localcontext() as ctx:
+        ctx.rounding = ROUND_UP
+        assert str(decimal_log_ratio(2**5, 2**100_000)) == "0.0000"
+    with localcontext() as ctx:
+        ctx.traps[Inexact] = True
+        assert str(decimal_log_ratio(2**5, 2**100_000)) == "0.0000"
+        assert str(decimal_log_ratio(13, 239)) == "0.4684"
+
+
 POWERS = list(range(1, 61)) + [100, 639, 640, 641, 4300, 4301, 12_345, 50_000]
 
 
@@ -261,6 +286,21 @@ def test_decimal_digits_small_and_negative():
         assert decimal_digits(n) == len(str(n))
     with pytest.raises(ValueError):
         decimal_digits(-1)
+    with pytest.raises(ValueError):
+        decimal_digits(Decimal(-1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 19, 20, 21, 640, 4301])
+def test_decimal_digits_and_str_of_decimals(k):
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        d = Decimal(str(n))
+        assert decimal_digits(d) == len(str(n))
+        assert decimal_str(d) == str(n)
+    # integral Decimals written with an exponent or trailing zeros
+    for d, text in ((Decimal("1E+3"), "1000"), (Decimal("5.00"), "5"),
+                    (Decimal("0"), "0"), (Decimal("-7E+1"), "-70")):
+        assert decimal_str(d) == text
+        assert decimal_digits(abs(d)) == len(text.lstrip("-"))
 
 
 # lengths around the splits of int_from_digits, which happen at 640 * 2**j
@@ -278,3 +318,25 @@ def test_int_from_digits_matches_int(length, zeros, seed):
     rng = random.Random(seed)
     digits = "0" * zeros + "".join(rng.choices("0123456789", k=length))
     assert int_from_digits(digits) == int(digits)
+
+
+# bit lengths around the splits of decimal_from_int, at 2048 * 2**j
+SPLIT_BITS = [0, 1, 2047, 2048, 2049, 4095, 4096, 4097, 8193, 16_385, 70_000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=st.sampled_from(SPLIT_BITS),
+    seed=st.integers(0, 2**32),
+    negative=st.booleans(),
+)
+def test_decimal_from_int_matches_decimal(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+    n = -n if negative else n
+    with localcontext() as ctx:
+        # the conversion is exact in any caller's context
+        ctx.prec = 28
+        ctx.traps[Inexact] = True
+        got = decimal_from_int(n)
+    want = Decimal(n)
+    assert (str(got), repr(got)) == (str(want), repr(want))

@@ -6,6 +6,7 @@ tuples, so they also compare equal to plain tuples of the same fields.
 
 import copy
 import pickle
+from decimal import Decimal
 
 import pytest
 
@@ -108,6 +109,45 @@ def test_certificate_checks(n, factors, mode, message):
     with pytest.raises(ValueError) as info:
         cert()._replace(n=n, factors=factors, mode_hint=mode)
     assert str(info.value) == message
+
+
+MIXED = "n and factors must be all ints or all Decimals"
+
+
+@pytest.mark.parametrize(
+    "n, factors, message",
+    [
+        (Decimal("NaN"), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal("sNaN"), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal("Infinity"), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal("21.5"), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal(1), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal(-21), (Decimal(2),), "n must be an integer >= 2"),
+        (Decimal(21), (Decimal("NaN"),), "factors must be positive integers"),
+        (Decimal(21), (-Decimal("Infinity"),), "factors must be positive integers"),
+        (Decimal(21), (Decimal("2.5"),), "factors must be positive integers"),
+        (Decimal(21), (Decimal(0),), "factors must be positive integers"),
+        (Decimal(21), (Decimal("-0"),), "factors must be positive integers"),
+        (Decimal(21), (Decimal(-2),), "factors must be positive integers"),
+        (Decimal(21), (Decimal(2), 13), MIXED),
+        (21, (Decimal(2),), MIXED),
+    ],
+)
+def test_certificate_checks_decimals(n, factors, message):
+    with pytest.raises(ValueError) as info:
+        WitnessCertificate(X2P1, "quadratic", n, factors, {}, "distinct")
+    assert str(info.value) == message
+
+
+def test_certificate_takes_integral_decimals():
+    # verify reads certificate files in Decimal; an integral Decimal may
+    # carry an exponent or trailing zeros
+    n, factors = Decimal("2.1E+1"), (Decimal("2.00"), Decimal(13), Decimal(17))
+    c = WitnessCertificate(X2P1, "quadratic", n, factors, {}, "distinct")
+    assert c == cert()._replace(params={}) and c.n is n
+    report = verify(c)
+    assert report.accepted and report.exponent == "0.9306"
+    assert type(report.n) is type(report.max_factor) is Decimal
 
 
 def test_certificate_keeps_factors_as_a_tuple():

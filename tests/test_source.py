@@ -225,3 +225,23 @@ def test_every_definition_has_a_caller():
         )
     ]
     assert unused == []
+
+
+def test_decimal_contexts_are_explicit():
+    # a bare localcontext() copies the caller's context, with its precision,
+    # rounding and traps; the package names the context it computes in, and
+    # verify changes no thread's context for good
+    root = pathlib.Path(factoridiv.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "localcontext" and not (
+                node.args or any(k.arg == "ctx" for k in node.keywords)
+            ):
+                found.append(f"{path.name}:{node.lineno}:localcontext")
+            if path.name == "verify.py" and name in ("getcontext", "setcontext"):
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []

@@ -1,12 +1,24 @@
 """Certificate verification: distinct rule, legendre rule, dispatch."""
 
+import decimal
 import importlib
+import json
 import math
+import random
 from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factoridiv import cli, numtheory
 from factoridiv.construct import WitnessCertificate, construct_quadratic
 from factoridiv.intpoly import IntPoly
-from factoridiv.numtheory import decimal_log_ratio, next_prime, nu_p_factorial
+from factoridiv.numtheory import (
+    decimal_digits,
+    decimal_log_ratio,
+    next_prime,
+    nu_p_factorial,
+)
 from factoridiv.verify import verify, verify_distinct, verify_legendre
 
 # the module, which factoridiv shadows with its verify function
@@ -143,3 +155,144 @@ def test_legendre_matches_factorial_oracle_small():
         # factors) but must never accept a false claim
         if verify(c).accepted:
             assert truth, n
+
+
+def test_verify_checks_the_product_once_on_a_duplicate(monkeypatch):
+    calls = []
+    real = verify_module._product_mismatch
+
+    def counted(cert, rule):
+        calls.append(rule)
+        return real(cert, rule)
+
+    monkeypatch.setattr(verify_module, "_product_mismatch", counted)
+    report = verify(cert(IntPoly((0, 0, 1)), 6, (6, 6)))
+    assert report.accepted and report.rule == "legendre"
+    assert calls == ["distinct"]
+    # verify_legendre on its own still checks it
+    calls.clear()
+    report = verify_legendre(cert(IntPoly((0, 0, 1)), 6, (6, 7)))
+    assert report.reason == "product-mismatch" and calls == ["legendre"]
+
+
+def test_product_tree_matches_prod():
+    rng = random.Random(3)
+    for k in (1, 2, 3, 4, 5, 7, 8, 9, 100, 257):
+        xs = [rng.getrandbits(rng.choice((1, 8, 100, 3000))) for _ in range(k)]
+        assert verify_module._product(xs) == math.prod(xs)
+        with decimal.localcontext(numtheory.EXACT):
+            ds = [numtheory.decimal_from_int(x) for x in xs]
+            assert verify_module._product(ds) == numtheory.decimal_from_int(
+                math.prod(xs))
+
+
+def read(c):
+    """c as verify reads it from a certificate file: n and the factors as
+    Decimals."""
+    return cli.cert_from_dict(json.loads(json.dumps(cli.cert_to_dict(c))))
+
+
+def linear_cert(n, factors, scale=1, cubic=0):
+    # P(x) = cubic*x**3 + scale*x + c, with c chosen so P(n) = prod(factors)
+    value = math.prod(factors)
+    poly = IntPoly((value - scale * n - cubic * n**3, scale, 0, cubic))
+    return cert(poly, n, factors, tag="linear")
+
+
+def same_verdicts(c, budget=2_000):
+    """verify(c) and verify of c read from a file agree on every field,
+    and so do the digit counts of n."""
+    as_read = read(c)
+    want = verify(c, budget)
+    assert verify(as_read, budget) == want
+    assert decimal_digits(as_read.n) == decimal_digits(c.n)
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digits=st.sampled_from([1, 2, 5, 12, 641, 900, 1500]),
+    parts=st.integers(1, 4),
+    change=st.sampled_from(["none", "mismatch", "duplicate", "exceeds", "one"]),
+    scale=st.integers(-3, 3).filter(bool),
+    cubic=st.integers(-1, 1),
+    seed=st.integers(0, 2**32),
+)
+def test_file_read_and_int_certificates_verify_alike(
+    digits, parts, change, scale, cubic, seed
+):
+    rng = random.Random(seed)
+    n = rng.randrange(max(2, 10 ** (digits - 1)), 10**digits)
+    factors = [rng.randrange(1, n + 1) for _ in range(parts)]
+    factors += {"duplicate": factors[:1], "exceeds": [n + rng.randrange(1, 9)],
+                "one": [1]}.get(change, [])
+    c = linear_cert(n, factors, scale, cubic)
+    if change == "mismatch":
+        c = c._replace(factors=c.factors[:-1] + (c.factors[-1] + 1,))
+    same_verdicts(c)
+
+
+def test_a_low_digit_of_a_long_factor_is_checked():
+    # 28-digit rounding would leave these products equal
+    rng = random.Random(11)
+    f1, f2 = (rng.randrange(10**9_999, 10**10_000) for _ in range(2))
+    c = linear_cert(max(f1, f2) + 1, (f1, f2))
+    assert same_verdicts(c).accepted
+    for i in (0, 1):
+        factors = list(c.factors)
+        factors[i] += 1 if factors[i] % 10 != 9 else -1
+        report = same_verdicts(c._replace(factors=tuple(factors)))
+        assert (report.accepted, report.reason) == (False, "product-mismatch")
+    report = same_verdicts(c._replace(n=c.n + 1))
+    assert (report.accepted, report.reason) == (False, "product-mismatch")
+
+
+def test_a_long_coefficient_verifies_alike():
+    rng = random.Random(12)
+    f1, f2 = (rng.randrange(10**9_999, 10**10_000) for _ in range(2))
+    c = linear_cert(max(f1, f2) + 1, (f1, f2))
+    assert decimal_digits(abs(c.poly.coeffs[0])) >= 19_999
+    assert same_verdicts(c).accepted
+    low = IntPoly((c.poly.coeffs[0] + 1, 1))
+    report = same_verdicts(c._replace(poly=low))
+    assert (report.accepted, report.reason) == (False, "product-mismatch")
+
+
+class _AnyDecimal(type):
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, decimal.Decimal)
+
+
+class _WatchedDecimal(decimal.Decimal, metaclass=_AnyDecimal):
+    # records the digits of every int made into a Decimal
+    ints = []
+
+    def __new__(cls, value="0", context=None):
+        if isinstance(value, int):
+            _WatchedDecimal.ints.append(decimal_digits(abs(value)))
+        return decimal.Decimal(value, context)
+
+
+def test_no_long_int_is_made_into_a_decimal(tmp_path, monkeypatch, capsys):
+    # Decimal(int) is quadratic on 3.10 and 3.11
+    for module in (cli, numtheory, verify_module):
+        monkeypatch.setattr(module, "Decimal", _WatchedDecimal)
+    rng = random.Random(13)
+    f1, f2 = (rng.randrange(10**2_999, 10**3_000) for _ in range(2))
+    certs = [
+        linear_cert(max(f1, f2) + 1, (f1, f2), cubic=1),  # long coefficients
+        linear_cert(10**700 + 1, (6, 6), scale=-2),  # legendre rule
+        cert(IntPoly((1,)), 2**20_000, (2,)),  # log(2)/log(n) is a tie
+    ]
+    _WatchedDecimal.ints = []
+    for c in certs:
+        verify(c)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([cli.cert_to_dict(c) for c in certs]))
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cert 0: ACCEPT rule=distinct n_digits=3000 exponent=1.0000",
+        "cert 1: ACCEPT rule=legendre n_digits=701 exponent=0.0011",
+        "cert 2: REJECT rule=distinct reason=product-mismatch",
+    ]
+    assert _WatchedDecimal.ints and max(_WatchedDecimal.ints) <= 640
