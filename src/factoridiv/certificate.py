@@ -11,10 +11,11 @@ __all__ = ["WitnessCertificate"]
 
 
 def _integer(x) -> bool:
-    # verify checks a certificate read from a file in Decimal
+    # verify checks a certificate read from a file in Decimal; a bool is an
+    # int to isinstance, but cert_to_dict would write it as "True"
     if isinstance(x, Decimal):
         return x.is_finite() and x == x.to_integral_value()
-    return isinstance(x, int)
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class WitnessCertificate(

@@ -328,11 +328,25 @@ def _tau_rows(f: IntPoly, taus):
     return rows
 
 
+def _square_table(m: int) -> bytes:
+    """t[r] = 1 exactly when r is a square mod m."""
+    t = bytearray(m)
+    for x in range(m):
+        t[x * x % m] = 1
+    return bytes(t)
+
+
+# A square is a square mod every m.  Mod 64, 63 and 65 there are 12, 16 and
+# 21 squares, so about 1 in 65 of the non-squares passes all three tables
+# to reach isqrt.
+_SQ64, _SQ63, _SQ65 = (_square_table(m) for m in (64, 63, 65))
+
+
 def _square_rows(rows, kappa: int):
     """Yield (row, isqrt(N)) for each row whose N is a perfect square."""
     for row in rows:
         N = row[3] + kappa * row[4]
-        if N >= 0:
+        if N >= 0 and _SQ64[N & 63] and _SQ63[N % 63] and _SQ65[N % 65]:
             root = math.isqrt(N)
             if root * root == N:
                 yield row, root
@@ -535,11 +549,21 @@ def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
     factors = _absorb_content([abs(x) for x in vals], content, n)
     if not _distinct_ok(factors, n):
         return None
-    if n > 10**6:
-        mx = max(factors)
-        if mx**5 >= n**4:  # max factor must stay under n**0.8
-            return None
+    if n > 10**6 and _at_least_four_fifths(max(factors), n):
+        return None  # max factor must stay under n**0.8
     return n, factors
+
+
+def _at_least_four_fifths(m: int, n: int) -> bool:
+    """m**5 >= n**4 for m >= 0, n >= 1, without the powers unless the bit
+    lengths leave it open: 2**(a-5) <= m**5 < 2**a with a = 5 bits(m), and
+    2**(b-4) <= n**4 < 2**b with b = 4 bits(n)."""
+    a, b = 5 * m.bit_length(), 4 * n.bit_length()
+    if a >= b + 5:
+        return True
+    if a <= b - 4:
+        return False
+    return m**5 >= n**4
 
 
 # The cubic and both quartic families share one search.  Each candidate

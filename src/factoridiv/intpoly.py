@@ -34,7 +34,7 @@ class IntPoly:
     def __init__(self, coeffs=()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coefficients required, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import sys
 from collections import namedtuple
 from decimal import (
     MAX_EMAX,
@@ -457,23 +456,6 @@ def int_from_digits(digits: str) -> int:
     return parse(0, len(digits))
 
 
-def decimal_str(n) -> str:
-    """str(n), also when n has more digits than the process's
-    int_max_str_digits allows; then it is converted _DIGIT_CHUNK digits at
-    a time.  An integral Decimal gives its plain digits."""
-    if isinstance(n, Decimal):
-        return format(n.to_integral_value(), "f")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or decimal_digits_upper(n.bit_length()) <= limit:
-        return str(n)
-    q, chunks = abs(n), []
-    while q >= _pow10(_DIGIT_CHUNK):
-        q, r = divmod(q, _pow10(_DIGIT_CHUNK))
-        chunks.append(f"{r:0{_DIGIT_CHUNK}d}")
-    chunks.append(str(q))
-    return "-" * (n < 0) + "".join(reversed(chunks))
-
-
 # bits per leaf of decimal_from_int: 2**2048 has 617 digits, so no int it
 # passes to Decimal() has more than _DIGIT_CHUNK digits
 _BIT_CHUNK = 2048
@@ -509,3 +491,15 @@ def decimal_from_int(n: int) -> Decimal:
     with localcontext(EXACT):
         d = convert(abs(n), n.bit_length())
         return -d if n < 0 else d
+
+
+def decimal_str(n) -> str:
+    """str(n) at any size, whatever int_max_str_digits allows.  An int
+    longer than _BIT_CHUNK bits is written by decimal_from_int, whose
+    binary splitting is subquadratic where str() is quadratic on 3.10 and
+    3.11.  An integral Decimal gives its plain digits."""
+    if isinstance(n, Decimal):
+        return format(n.to_integral_value(), "f")
+    if n.bit_length() <= _BIT_CHUNK:
+        return str(n)
+    return format(decimal_from_int(n), "f")

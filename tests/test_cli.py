@@ -151,7 +151,8 @@ def test_huge_certificates_under_the_default_limit():
         "                                      IntPoly((1, 1)))[0]\n"
         "entry = cert_to_dict(cert)\n"
         "assert cert_from_dict(entry) == cert\n"
-        "bigs = [0, -(7 * 10**6000 + 3), 10**4300, 10**5120 - 1]\n"
+        "bigs = [0, -(7 * 10**6000 + 3), 10**4300, 10**5120 - 1,\n"
+        "        -(7**47_350)]\n"
         "texts = [decimal_str(b) for b in bigs]\n"
         "sys.set_int_max_str_digits(0)\n"
         "assert entry['n'] == str(cert.n)\n"

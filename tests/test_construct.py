@@ -255,6 +255,78 @@ def test_pruning_drops_rows_of_x3_plus_5():
     assert len(rows) < len(unpruned_tau_rows(f, construct._TAUS_WIDE))
 
 
+@pytest.mark.parametrize(
+    "m, table",
+    [(64, construct._SQ64), (63, construct._SQ63), (65, construct._SQ65)],
+)
+def test_square_tables_hold_exactly_the_squares(m, table):
+    assert {r for r in range(m) if table[r]} == {x * x % m for x in range(m)}
+
+
+def isqrt_square_rows(rows, kappa):
+    """_square_rows without the residue tables."""
+    for row in rows:
+        n = row[3] + kappa * row[4]
+        if n >= 0 and math.isqrt(n) ** 2 == n:
+            yield row, math.isqrt(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.integers(0, 2**200), max_size=20),
+    shifts=st.lists(st.integers(-5000, 5000), max_size=20),
+    kappa=st.integers(1, 60),
+)
+def test_square_rows_match_isqrt_only(roots, shifts, kappa):
+    # each N = root**2 + shift - kappa * step: every exact square must
+    # pass the tables, and near misses and negatives must not
+    rows = []
+    for i, (root, shift) in enumerate(zip(roots, shifts)):
+        step = i - 10
+        rows.append((i, 0, 0, root * root + shift - kappa * step, step))
+    rows += [(-1, 0, 0, r * r - kappa, 1) for r in roots]
+    got = list(construct._square_rows(rows, kappa))
+    assert got == list(isqrt_square_rows(rows, kappa))
+    assert len(got) >= len(roots)
+
+
+def iroot(x, k):
+    """floor(x ** (1/k)) for x >= 0."""
+    r = 1 << -(-x.bit_length() // k)
+    while r**k > x:
+        r = ((k - 1) * r + x // r ** (k - 1)) // k
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2**64), st.integers(1, 2**4000)),
+    offset=st.integers(-1, 1),
+    scale=st.sampled_from([None, 0, 1, 3, 7, 1000]),
+)
+@example(n=10**6 + 1, offset=0, scale=None)
+@example(n=2**1000, offset=0, scale=None)
+@example(n=2**1000, offset=1, scale=None)
+def test_four_fifths_cap_matches_the_powers(n, offset, scale):
+    # near ties m = floor(n**(4/5)) + offset, and m far from them
+    root = iroot(n**4, 5)
+    assert root**5 <= n**4 < (root + 1) ** 5
+    m = root + offset if scale is None else root * scale // 2
+    assert construct._at_least_four_fifths(m, n) == (m**5 >= n**4)
+
+
+def test_four_fifths_cap_at_bit_length_corners():
+    # the least and greatest m and n of each bit length, wherever the two
+    # bit-length tests come close to deciding
+    for bits_n in range(1, 160):
+        lo, hi = (4 * bits_n - 6) // 5, (4 * bits_n + 6) // 5
+        for bits_m in range(max(0, lo), hi + 1):
+            for m in (1 << bits_m >> 1, (1 << bits_m) - 1):
+                for n in (1 << bits_n >> 1, (1 << bits_n) - 1):
+                    assert construct._at_least_four_fifths(m, n) == (
+                        m**5 >= n**4), (m, n)
+
+
 def _lin_mul(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):

@@ -32,6 +32,13 @@ def test_integer_coefficients_enforced():
         IntPoly((Fraction(1, 2),))
 
 
+@pytest.mark.parametrize("coeffs", [(1, True), (False, 1), (True,)])
+def test_bool_coefficients_rejected(coeffs):
+    # a bool is an int to isinstance, but to_string would write "True"
+    with pytest.raises(TypeError):
+        IntPoly(coeffs)
+
+
 def test_degree_leading_coefficient():
     p = IntPoly((1, 0, 3))
     assert p.degree == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from decimal import ROUND_UP, Decimal, Inexact, localcontext
 from unittest import mock
 
@@ -340,3 +341,25 @@ def test_decimal_from_int_matches_decimal(bits, seed, negative):
         got = decimal_from_int(n)
     want = Decimal(n)
     assert (str(got), repr(got)) == (str(want), repr(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bits=st.sampled_from(SPLIT_BITS + [20_480, 32_768, 32_769, 135_000]),
+    seed=st.integers(0, 2**32),
+    negative=st.booleans(),
+)
+@example(bits=1, seed=0, negative=True)
+@example(bits=1, seed=0, negative=False)
+@example(bits=0, seed=0, negative=False)
+def test_decimal_str_matches_str(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+    n = -n if negative else n
+    limit = sys.get_int_max_str_digits()
+    # Python's default limit: 135 000 bits are about 40 600 digits
+    sys.set_int_max_str_digits(4300)
+    try:
+        got = decimal_str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == str(n)

@@ -100,6 +100,8 @@ def test_reprs():
         (5, (2, 0), "distinct", "factors must be positive integers"),
         (5, (2, "3"), "distinct", "factors must be positive integers"),
         (5, (2,), "nonsense", "unknown mode hint 'nonsense'"),
+        # a bool is an int to isinstance; cert_to_dict would write "True"
+        (5, (True, 6), "distinct", "factors must be positive integers"),
     ],
 )
 def test_certificate_checks(n, factors, mode, message):

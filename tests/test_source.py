@@ -191,37 +191,41 @@ def test_public_tau_grid_order():
 
 
 def test_every_definition_has_a_caller():
-    # every module-level function or class, and every IntPoly method that
-    # is not a dunder, is named somewhere in the package outside its own
-    # body, or is public API in factoridiv.__all__
+    # every module-level function or class is named somewhere in the
+    # package outside its own body, and every IntPoly method that is not a
+    # dunder is looked up as an attribute (p.name) there, or the definition
+    # is public API in factoridiv.__all__; a bare name such as x is no call
+    # of a method
     trees = {
         path.name: ast.parse(path.read_text(), str(path))
         for path in sorted(pathlib.Path(factoridiv.__file__).parent.glob("*.py"))
     }
-    uses = {}  # name -> [(file, line)]
+    names, attrs = {}, {}  # name -> [(file, line)]
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append((name, node.lineno))
+                names.setdefault(node.id, []).append((name, node.lineno))
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append((name, node.lineno))
+                attrs.setdefault(node.attr, []).append((name, node.lineno))
     defs = []
     for name, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((name, node.name, node))
+                uses = names.get(node.name, []) + attrs.get(node.name, [])
+                defs.append((name, node.name, node, uses))
             if isinstance(node, ast.ClassDef) and node.name == "IntPoly":
                 defs.extend(
-                    (name, f"IntPoly.{d.name}", d) for d in node.body
+                    (name, f"IntPoly.{d.name}", d, attrs.get(d.name, []))
+                    for d in node.body
                     if isinstance(d, ast.FunctionDef)
                     and not (d.name.startswith("__") and d.name.endswith("__"))
                 )
     unused = [
-        f"{name}:{label}" for name, label, node in defs
+        f"{name}:{label}" for name, label, node, uses in defs
         if label not in factoridiv.__all__
         and not any(
             f != name or not node.lineno <= line <= node.end_lineno
-            for f, line in uses.get(node.name, ())
+            for f, line in uses
         )
     ]
     assert unused == []
