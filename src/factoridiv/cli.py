@@ -162,6 +162,13 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def _poly_by_degree(polys, degree: int) -> IntPoly:
     for p in polys:
         if p.degree == degree:
@@ -212,14 +219,15 @@ FAMILIES = {
     "binomial": (
         _M_S, lambda a, p: a.m is not None and a.s, "needs --m and --s",
         lambda a, p: construct_binomial_power(
-            a.m, _int_list(a.s), Fraction(a.ratio))),
+            a.m, _int_list(a.s), _fraction(a.ratio, "--ratio"))),
     "cyclotomic": (
         _M_S, lambda a, p: a.m is not None and a.s, "needs --m and --s",
-        lambda a, p: construct_cyclotomic(a.m, _int_list(a.s), Fraction(a.ratio))),
+        lambda a, p: construct_cyclotomic(
+            a.m, _int_list(a.s), _fraction(a.ratio, "--ratio"))),
     "chebyshev": (
         ("ms", "s", "ratio"), lambda a, p: a.ms and a.s, "needs --ms and --s",
         lambda a, p: construct_chebyshev(
-            _int_list(a.ms), _int_list(a.s), Fraction(a.ratio))),
+            _int_list(a.ms), _int_list(a.s), _fraction(a.ratio, "--ratio"))),
 }
 
 
@@ -292,7 +300,7 @@ def _cmd_verify(args, budget: int) -> int:
 
 def _cmd_scan(args) -> int:
     poly = IntPoly.from_string(args.poly)
-    theta = Fraction(args.theta)
+    theta = _fraction(args.theta, "--theta")
     # the library default resolves every value; FACTORIDIV_BUDGET is the
     # factoring budget of construct and verify, not a sieve cap
     cap = {} if args.budget is None else {"division_budget": args.budget}

@@ -23,8 +23,16 @@ Families covered:
                        factor the product of T_m(n)
 
 Every constructor is deterministic for fixed arguments and either returns
-fully checked certificates or raises ConstructionBudgetError carrying the
-partial results and a structured report of what blocked the search.
+certificates or raises ConstructionBudgetError carrying the partial
+results and a structured report of what blocked the search.
+
+Each identity is checked once, where cheapest, raising ArithmeticError
+also under python -O: the polynomial identities per candidate, in Z[x];
+the Pell pair per attempt, by _conic_point; per certificate only what no
+polynomial identity implies (divisibility along a progression or Pell
+subsequence, and P(n) = prod of the factors in the binomial, cyclotomic
+and Chebyshev families).
+cli construct verifies every certificate.
 """
 
 from __future__ import annotations
@@ -391,14 +399,11 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
 def _split(f: IntPoly, g: IntPoly, f1: IntPoly):
     """(content, f2) with f(g(x)) = content * f1(x) * f2(x) and f2 a
     primitive cubic, as a ContentSplit, or None when there is none."""
-    fg = f.compose(g)
-    quot = fg.exact_divide(f1)
+    quot = f.compose(g).exact_divide(f1)
     if quot is None or quot.is_zero:
         return None
-    content, f2 = split = quot.content_split()
-    if f2.degree != 3 or f1.multiply(f2).scale(content) != fg:
-        return None
-    return split
+    split = quot.content_split()
+    return split if split.primitive.degree == 3 else None
 
 
 def _schinzel_candidates(f: IntPoly, kappa: int, rows):
@@ -526,24 +531,17 @@ def _conic_point(a, b, c, d, r, s):
     return x, y
 
 
-def _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits):
+def _cubic_attempt(shift_y, inst, r, s, max_n_digits):
+    # both level-2 g's meet at the conic point, and the three splits give
+    # content * prod(vals) = P(n)
     a, b, c, d = inst.sides
     u, v = _conic_point(a, b, c, d, r, s)
-    t = inst.r_hit.g.evaluate(u)
-    _require(t == inst.s_hit.g.evaluate(v), "linked arguments must meet")
-    n_shift = inst.top.g.evaluate(t)
-    n = n_shift + shift_y
+    n = inst.top.g.evaluate(inst.r_hit.g.evaluate(u)) + shift_y
     if n < 2 or decimal_digits_upper(n.bit_length()) > max_n_digits:
         return None
-    vals = [
-        inst.r_hit.f1.evaluate(u),
-        inst.r_hit.f2.evaluate(u),
-        inst.s_hit.f1.evaluate(v),
-        inst.s_hit.f2.evaluate(v),
-    ]
+    vals = [f.evaluate(x) for hit, x in ((inst.r_hit, u), (inst.s_hit, v))
+            for f in (hit.f1, hit.f2)]
     content = inst.top.content * inst.r_hit.content * inst.s_hit.content
-    _require(math.prod(vals) * content == poly.evaluate(n),
-             "cubic pieces must multiply to P(n)")
     if any(v == 0 for v in vals):
         return None
     factors = _absorb_content([abs(x) for x in vals], content, n)
@@ -647,7 +645,7 @@ def construct_cubic(
 
             def attempt(j, fund):
                 r, s = pair_at(inst.pell_d, fund, j)
-                got = _cubic_attempt(poly, shift_y, inst, r, s, max_n_digits)
+                got = _cubic_attempt(shift_y, inst, r, s, max_n_digits)
                 if got is None:
                     return None
                 return *got, {
@@ -709,7 +707,7 @@ def construct_quartic_cubic_linear(
                     return None
                 r, s = pair_at(inst.pell_d, fund, j)
                 _require(s % p_val == 0, "p must divide s")
-                got = _cubic_attempt(cubic, shift_y, inst, r, s, max_n_digits)
+                got = _cubic_attempt(shift_y, inst, r, s, max_n_digits)
                 if got is None:
                     return None
                 n, cubic_factors = got
@@ -782,6 +780,9 @@ def construct_quartic_biquadratic(
                     k_side.coefficient(2) * c1 * c1,
                 )
             )
+            _require(poly.compose(IntPoly((0, c1)))
+                     == r_poly.multiply(q_poly).scale(c1),
+                     "P(c1 x) must equal c1 R(x) Q(x)")
             fq = q_poly.coefficient(0)
             q1_poly = q_poly.shift(fq)
             # g_k(x) = (x + f) + l f Q(x + f), and h_u(x) = x + v R(x)
@@ -809,31 +810,20 @@ def construct_quartic_biquadratic(
                 continue
 
             def attempt(j, fund):
+                # g_k(k) = h_u(u) at the conic point, so the chain quotients
+                # give c1 q1 q2 r1 r2 = P(n)
                 if decimal_digits_upper(fund[1].bit_length()) * j * 5 > max_n_digits:
                     return None
                 r, s = pair_at(pell_d, fund, j)
                 k_val, u_val = _conic_point(a_k, -b_k, c_u, -d_u, r, s)
                 _require(k_val > 0 and u_val > 0, "k and u must be positive")
-                n_inner = g_k.evaluate(k_val)
-                _require(n_inner == h_u.evaluate(u_val), "k and u must meet")
-                q1_val = q_poly.evaluate(k_val + fq)
-                r1_val = r_poly.evaluate(u_val)
-                _require(n_inner == (k_val + fq) + l * fq * q1_val,
-                         "k-side chain must hold at k")
-                _require(n_inner == u_val + v_const * r1_val,
-                         "u-side chain must hold at u")
-                qn_val = q_poly.evaluate(n_inner)
-                rn_val = r_poly.evaluate(n_inner)
-                _require(qn_val % q1_val == 0, "Q(k+f) must divide Q(n)")
-                _require(rn_val % r1_val == 0, "R(u) must divide R(n)")
-                q2_val = qn_val // q1_val
-                r2_val = rn_val // r1_val
+                q2_val = q2_poly.evaluate(k_val)
+                r2_val = r2_poly.evaluate(u_val)
                 _require(q2_val % c_q == 0 and r2_val % c_r == 0,
                          "c_q and c_r must divide the cofactors")
-                n = c1 * n_inner
-                vals = [modulus, q1_val, r1_val, q2_val // c_q, r2_val // c_r]
-                _require(math.prod(vals) * c1 == poly.evaluate(n),
-                         "quadratic pieces must multiply to P(n)")
+                n = c1 * g_k.evaluate(k_val)
+                vals = [modulus, q1_poly.evaluate(k_val), r_poly.evaluate(u_val),
+                        q2_val // c_q, r2_val // c_r]
                 factors = _absorb_content(vals, c1, n)
                 if not _distinct_ok(factors, n):
                     return None
@@ -883,15 +873,16 @@ def _prime_run(min_prime: int, threshold: Fraction, sized, max_n_digits: int,
 
 
 def _emit(certs, poly, tag, head, primes, s, ratio, bits, max_n_digits, split,
-          fallback) -> bool:
+          fallback=None) -> bool:
     """The shared tail of the binomial, cyclotomic and Chebyshev families:
     digit check, product identity, merge, certificate.
 
     With N the product of primes, n has at most about N * bits bits;
     split(N) gives n and factor values that must multiply to P(n).  When
-    merging cannot give a distinct list, fallback(raw, merged) returns the
-    factors of a legendre certificate, or None to emit nothing (it may
-    also raise).  Returns whether a certificate was appended."""
+    merging cannot give a distinct list, fallback "legendre" emits the raw
+    list under the legendre rule if a merge would pass n, "skip" emits
+    nothing, and otherwise ConstructionBudgetError is raised.  Returns
+    whether a certificate was appended."""
     n_value = math.prod(primes)
     digits_est = decimal_digits_upper(n_value * bits)
     if digits_est > max_n_digits:
@@ -905,10 +896,15 @@ def _emit(certs, poly, tag, head, primes, s, ratio, bits, max_n_digits, split,
     merged = _merge_duplicates(raw, n)
     if merged is not None and _distinct_ok(merged, n):
         factors, mode = merged, "distinct"
+    elif merged is None and fallback == "legendre":
+        factors, mode = raw, "legendre"
+    elif fallback == "skip":
+        return False
     else:
-        factors, mode = fallback(raw, merged), "legendre"
-        if factors is None:
-            return False
+        raise ConstructionBudgetError(certs, {
+            "class": tag, "reason": "factor merging could not stay below n",
+            "s": str(s), "N": str(n_value),
+        })
     params = dict(head, s=str(s), ratio=str(Fraction(ratio)),
                   primes=",".join(str(p) for p in primes), N=str(n_value))
     certs.append(WitnessCertificate(poly, tag, n, tuple(factors), params, mode))
@@ -927,8 +923,9 @@ def construct_binomial_power(
     N is the product of the shortest run of primes from 2 with
     prod p/(p-1) > ratio * m; then P(n) = (s**m)**N - 1 splits into the
     cyclotomic values Phi_d(s**m) over divisors d of N.  Equal values are
-    merged; if merging cannot stay below n the certificate falls back to
-    the legendre rule with the raw list.
+    merged; if a merge would pass n the certificate falls back to the
+    legendre rule with the raw list, and if a value is n or more anyway
+    (ratio < 1 can leave one) ConstructionBudgetError is raised.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -942,8 +939,7 @@ def construct_binomial_power(
         _emit(certs, poly, "binomial_power", {"m": str(m)}, primes, s, ratio,
               bits, max_n_digits,
               lambda nv: (s**nv, [cyclotomic_value(d, s**m)
-                                  for d in divisors(nv)]),
-              lambda raw, merged: raw if merged is None else merged)
+                                  for d in divisors(nv)]), "legendre")
     return certs
 
 
@@ -980,8 +976,7 @@ def construct_cyclotomic(
             if _emit(certs, poly, "cyclotomic", {"m": str(m)}, primes[:k], s,
                      ratio, bits, max_n_digits,
                      lambda nv: (s**nv, [cyclotomic_value(m * d, s)
-                                         for d in divisors(nv)]),
-                     lambda raw, merged: None):
+                                         for d in divisors(nv)]), "skip"):
                 break
         else:
             raise ConstructionBudgetError(certs, {
@@ -1022,22 +1017,15 @@ def construct_chebyshev(
     def split(n_value):
         all_vals: list[int] = []
         for m in ms:
-            # the first value is psi_{4t}(2s) = 2 T_t(s), t the 2-part of mN
+            # the checked product is 2 T_mN(s), and the first value is
+            # psi_{4t}(2s) = 2 T_t(s), t the 2-part of mN
             vals = [v for _, v in chebyshev_factor_values(m * n_value, s)]
             _require(vals[0] % 2 == 0, "the first psi value must be even")
             vals[0] //= 2
-            _require(math.prod(vals) == chebyshev_t_value(m * n_value, s),
-                     "psi values must multiply to T_mN(s)")
             all_vals.extend(vals)
         return chebyshev_t_value(n_value, s), all_vals
 
-    def clash(raw, merged):
-        raise ConstructionBudgetError(certs, {
-            "class": tag, "reason": "factor merging could not stay below n",
-            "s": str(s), "N": str(math.prod(primes)),
-        })
-
     for s, bits in sized:
         _emit(certs, poly, tag, {"ms": ",".join(str(m) for m in ms)}, primes,
-              s, ratio, bits, max_n_digits, split, clash)
+              s, ratio, bits, max_n_digits, split)
     return certs

@@ -414,6 +414,51 @@ def test_construct_budget_exit(tmp_path, capsys):
         assert "digits" in report["reason"]
 
 
+@pytest.mark.parametrize("m", ["2", "3", "4"])
+@pytest.mark.parametrize("ratio", ["1/10", "1/2", "3/4"])
+def test_binomial_ratio_below_one_exits_with_a_report(m, ratio, capsys):
+    # a ratio below 1 can leave a cyclotomic value above n with nothing to
+    # merge; that is a budget stop with a report, not a failed certificate
+    code, out, err = run(
+        ["construct", "--class", "binomial", "--m", m, "--s", "2,3",
+         "--ratio", ratio],
+        capsys,
+    )
+    assert code == 2
+    assert json.loads(out) == []
+    report = json.loads(err)
+    assert report["class"] == "binomial_power" and report["s"] == "2"
+    assert report["reason"] == "factor merging could not stay below n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--class", "binomial", "--m", "4", "--s", "2",
+     "--ratio", "1/0"],
+    ["construct", "--class", "cyclotomic", "--m", "2", "--s", "2",
+     "--ratio", "3/0"],
+    ["construct", "--class", "chebyshev", "--ms", "2", "--s", "2",
+     "--ratio", "1/0"],
+    ["scan", "--poly", "1,0,1", "--from", "2", "--to", "10", "--theta", "1/0"],
+])
+def test_zero_denominator_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    flag, text = argv[-2:]
+    assert code == 64 and out == ""
+    assert err == f"factoridiv: error: {flag} has a zero denominator: {text!r}\n"
+
+
+def test_other_bad_fractions_keep_their_messages(capsys):
+    for argv in (
+        ["construct", "--class", "binomial", "--m", "4", "--s", "2",
+         "--ratio", "nan"],
+        ["scan", "--poly", "1,0,1", "--from", "2", "--to", "10",
+         "--theta", "nan"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 64 and out == ""
+        assert err == "factoridiv: error: Invalid literal for Fraction: 'nan'\n"
+
+
 def test_quartic_classes(capsys):
     code, outtext, _ = run(
         ["construct", "--class", "quartic-cl", "--poly", "1,1",

@@ -475,6 +475,48 @@ def test_cubic_pipeline_certificates_pinned():
     )
 
 
+@pytest.mark.parametrize("coeffs, digest", [
+    # four of these need a shift of 1 or 2 to positive coefficients
+    ((1, -2, 0, 1),
+     "78298a82b53d4d04b44dd36dc8795444672a14232acfbc68f7142569e8a8d93a"),
+    ((-3, 1, 0, 1),
+     "298c50009a2d1981fa00872bce19f9c40fddff4dca467ce66e2344b149619fef"),
+    ((3, -2, -1, 1),
+     "296ccfb1ddc1d5030a685f02a075b793247049a3a44b27cc27cd4eeaad542080"),
+    ((-1, 1, 1, 1),
+     "021729104f2a8b79daa4e29576f7153bbbf6d2d15ffde126b8e086851d99bd91"),
+    ((3, 1, 2, 1),
+     "f74acadb3f051f28c94a0df8324d716a85a926667405486455be89aeb3132cca"),
+])
+def test_sweep_cubics_pinned(coeffs, digest):
+    # digests of the certificate JSON from the constructor that still
+    # multiplied every factor list back out against P(n)
+    assert _certs_digest(construct_cubic(IntPoly(coeffs), 2)) == digest
+
+
+@pytest.mark.parametrize("first, second, count, digest", [
+    ((1, 2, 1), (1, 1, 1), 5,
+     "b3a14c18269c34e6e5711af06c512c30241a9fa1017aaa2d9f356595df2b174f"),
+    # c1 = 2, so P(c1 x) = c1 R(x) Q(x) is checked at a scale above 1
+    ((1, 0, 1), (2, 1, 1), 3,
+     "c253d95483a97a94d7fb4f2a5862d697068d53abf640ae4619581efddf4dcd8a"),
+])
+def test_quartic_biquadratic_pinned(first, second, count, digest):
+    certs = construct_quartic_biquadratic(IntPoly(first), IntPoly(second), count)
+    assert _certs_digest(certs) == digest
+
+
+@pytest.mark.parametrize("ms, s_values, digest", [
+    ([2], [2, 3, 4, 5, 6],
+     "7fdd0b9caf5cec20c11532eec56d65223cec84535f6bfe807c0866e6a9c17fb6"),
+    ([1, 2], [3, 5],
+     "d1c0229061f98e8edb9fd529562bf4833588ed191c163e485aabaee1f6d340ef"),
+])
+def test_chebyshev_pinned(ms, s_values, digest):
+    certs = construct_chebyshev(ms, s_values, Fraction(9, 8))
+    assert _certs_digest(certs) == digest
+
+
 def test_schinzel_pieces_input_validation():
     with pytest.raises(ValueError):
         schinzel_pieces(X2P1, 1)
@@ -749,6 +791,25 @@ def test_binomial_power_m5_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1b80a9767f5faf7c4779e64509161a1399a4cb14c3f5961a84520f50d1988cf8"
     )
+
+
+@pytest.mark.parametrize("m, ratio, big_n", [
+    (2, Fraction(1, 10), 2), (2, Fraction(1, 2), 2), (2, Fraction(3, 4), 2),
+    (3, Fraction(1, 10), 2), (3, Fraction(1, 2), 2), (3, Fraction(3, 4), 6),
+    (4, Fraction(1, 10), 2), (4, Fraction(1, 2), 6), (4, Fraction(3, 4), 30),
+])
+def test_binomial_ratio_below_one_stops_with_a_report(m, ratio, big_n):
+    # with nothing to merge, a value above n is no legendre case: no rule
+    # accepts a factor above n
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_binomial_power(m, [2, 3], ratio)
+    assert ei.value.partial == []
+    assert ei.value.report == {
+        "class": "binomial_power",
+        "reason": "factor merging could not stay below n",
+        "s": "2",
+        "N": str(big_n),
+    }
 
 
 def test_binomial_input_validation():
