@@ -8,8 +8,6 @@ rules, and scans ranges for smooth polynomial values.
 from .intpoly import IntPoly, ContentSplit
 from .certificate import WitnessCertificate
 from .construct import (
-    SchinzelPieces,
-    SchinzelInconsistency,
     ConstructionBudgetError,
     construct_quadratic,
     construct_cubic,
@@ -18,7 +16,6 @@ from .construct import (
     construct_binomial_power,
     construct_cyclotomic,
     construct_chebyshev,
-    schinzel_pieces,
 )
 from .verify import VerificationReport, verify, verify_distinct, verify_legendre
 from .scan import ScanRecord, ScanSummary, scan_range
@@ -27,8 +24,6 @@ __all__ = [
     "IntPoly",
     "ContentSplit",
     "WitnessCertificate",
-    "SchinzelPieces",
-    "SchinzelInconsistency",
     "ConstructionBudgetError",
     "construct_quadratic",
     "construct_cubic",
@@ -37,7 +32,6 @@ __all__ = [
     "construct_binomial_power",
     "construct_cyclotomic",
     "construct_chebyshev",
-    "schinzel_pieces",
     "VerificationReport",
     "verify",
     "verify_distinct",

@@ -330,6 +330,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.max < 0:
+        raise UsageError("--max must be non-negative")
     if args.kind == "phi":
         rows = [(i, cyclotomic(i)) for i in range(1, args.max + 1)]
     elif args.kind == "psi":

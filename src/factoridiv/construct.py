@@ -72,9 +72,6 @@ from .specialpoly import (
 __all__ = [
     "WitnessCertificate",
     "ConstructionBudgetError",
-    "SchinzelPieces",
-    "SchinzelInconsistency",
-    "schinzel_pieces",
     "construct_quadratic",
     "construct_cubic",
     "construct_quartic_cubic_linear",
@@ -233,8 +230,6 @@ def construct_quadratic(
 # det((g1 + 2 g2 x) I - T M_E) of the multiplication-by-E matrix, taken
 # primitive.  Exact division of f(g(x)) by F1 then certifies the split;
 # every candidate that reaches the caller has been verified that way.
-# schinzel_pieces, the library's entry to the engine, returns the first
-# such split in the order of the public tau grid.
 
 
 def _tau_pairs(denominators, max_numerator) -> list[tuple[int, int]]:
@@ -251,14 +246,12 @@ def _tau_pairs(denominators, max_numerator) -> list[tuple[int, int]]:
 
 
 # every CLI call builds these, so the grids are deduped and sorted as
-# integer pairs and each Fraction is made once.  _TAUS_PUBLIC is the top
-# grid, then the wide grid's new values in wide-grid order
-_TOP_PAIRS = _tau_pairs((1, 2, 4, 8), 16)
+# integer pairs and each Fraction is made once; the top grid is a subset
+# of the wide grid, searched first and in its own order
 _WIDE_PAIRS = _tau_pairs((1, 2, 3, 4, 8, 16), 48)
-_TAU = {p: Fraction(*p) for p in dict.fromkeys(_TOP_PAIRS + _WIDE_PAIRS)}
-_TAUS_TOP = tuple(_TAU[p] for p in _TOP_PAIRS)
-_TAUS_WIDE = tuple(_TAU[p] for p in _WIDE_PAIRS)
-_TAUS_PUBLIC = tuple(_TAU.values())
+_TAU = {p: Fraction(*p) for p in _WIDE_PAIRS}
+_TAUS_TOP = tuple(_TAU[p] for p in _tau_pairs((1, 2, 4, 8), 16))
+_TAUS_WIDE = tuple(_TAU.values())
 
 
 def _resolvent(m, a, b):
@@ -414,50 +407,6 @@ def _schinzel_candidates(f: IntPoly, kappa: int, rows):
             got = _split(f, g, f1)
             if got is not None:
                 yield _EngineHit(row[0], g, f1, got.primitive, got.content)
-
-
-class SchinzelPieces(
-    namedtuple("SchinzelPieces", "g f1 f2 content A B kappa tau")
-):
-    """A verified split f(g(x)) = content * f1(x) * f2(x).
-
-    A and B are the leading and negated linear coefficients of g, the
-    quantities the Pell linkage runs on.
-    """
-
-    __slots__ = ()
-
-
-class SchinzelInconsistency(Exception):
-    """No split was found in the scan grid.
-
-    Carries the scan size so callers can report exactly what was tried."""
-
-    def __init__(self, poly, kappa, scanned):
-        super().__init__(
-            f"no quadratic/cubic split found for {poly} at kappa={kappa} "
-            f"({scanned} parameter values scanned)"
-        )
-        self.poly = poly
-        self.kappa = kappa
-        self.scanned = scanned
-
-
-def schinzel_pieces(poly: IntPoly, kappa: int = 1) -> SchinzelPieces:
-    """First verified split of poly(g(x)) for a positive cubic, in the
-    order of the public tau grid.  Raises SchinzelInconsistency when
-    nothing in the grid verifies.
-    """
-    if poly.degree != 3 or any(c <= 0 for c in poly.coeffs):
-        raise ValueError("need a cubic with positive coefficients")
-    if kappa < 1:
-        raise ValueError("kappa must be positive")
-    for hit in _schinzel_candidates(poly, kappa, _tau_rows(poly, _TAUS_PUBLIC)):
-        return SchinzelPieces(
-            hit.g, hit.f1, hit.f2, hit.content,
-            hit.g.coefficient(2), -hit.g.coefficient(1), kappa, hit.tau,
-        )
-    raise SchinzelInconsistency(poly, kappa, len(_TAUS_PUBLIC))
 
 
 # --------------------------------------------------------------------------
@@ -695,8 +644,8 @@ def construct_quartic_cubic_linear(
     def cases():
         for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
             p_val = e * inst.top.g.evaluate(2 * inst.l) + f_eff
-            # the index filter walks the pair sequence mod p_val, so keep the
-            # modulus small enough for the period scan
+            # the cap picks which instances are tried; the index filter
+            # itself works for any p
             if p_val < 2 or p_val > 100_000:
                 yield None
                 continue

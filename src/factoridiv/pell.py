@@ -6,13 +6,20 @@ sqrt(D).  The (P, Q, a) recurrence of that expansion runs on small
 integers, and the convergents h_i/k_i satisfy
 h_i**2 - D k_i**2 = (-1)**(i+1) Q_{i+1}, so a solution is found by testing
 Q_{i+1} = 1 at odd i and no convergent is squared.  The k-th solution
-(r_k, s_k) comes from powering r1 + s1 sqrt(D); the divisibility filter
-runs the linear recurrence x_{k+1} = 2 r1 x_k - x_{k-1}, from (1, 0) and
-(r1, s1), mod the divisor.
+(r_k, s_k) comes from powering r1 + s1 sqrt(D).
+
+The divisibility filter needs no period: s_k = s1 U_k for the Lucas
+sequence U(2 r1, 1), which has strong divisibility since gcd(2 r1, 1) = 1
+(Lucas, Amer. J. Math. 1 (1878); Lehmer, Ann. of Math. 31 (1930)).  So
+m | s_k exactly when k is a multiple of the least k0 >= 1 with m | s_k0,
+found by running s_{k+1} = 2 r1 s_k - s_{k-1} mod m from (0, s1).  The
+step matrix has determinant 1, so that walk returns to (0, s1) and k0
+exists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .numtheory import decimal_digits_upper
@@ -89,37 +96,14 @@ def pair_at(d: int, fundamental: tuple[int, int], k: int) -> tuple[int, int]:
 
 
 def indices_with_s_divisible(d: int, fundamental: tuple[int, int], m: int):
-    """Generator of all k >= 0 with m | s_k, in increasing order.
-
-    The pair sequence (r_k, s_k) mod m is purely periodic: the step
-    matrix [[r1, d s1], [s1, r1]] has determinant 1, so it is invertible
-    mod m and the orbit of (1, 0) is a cycle of length at most m**2.
-    All residue-zero offsets within one period generate the full index
-    set as a union of arithmetic progressions.
-    """
+    """Iterator of all k >= 0 with m | s_k, in increasing order: the
+    multiples of the least k0 >= 1 with m | s_k0."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    r1m, s1m = fundamental[0] % m, fundamental[1] % m
-    start = ((1 % m, 0), (r1m, s1m))
-    zeros = [0]  # s_0 = 0 always
-    prev, cur = start
-    k = 1
-    while True:
-        if k > 1 and (prev, cur) == start:
-            period = k - 1
-            break
-        if cur[1] == 0:
-            zeros.append(k)
-        prev, cur = cur, (
-            (2 * r1m * cur[0] - prev[0]) % m,
-            (2 * r1m * cur[1] - prev[1]) % m,
-        )
-        k += 1
-        if k > m * m + 2:
-            raise ArithmeticError("pair period exceeded the m**2 bound")
-    zeros = [z for z in zeros if z < period]
-    base = 0
-    while True:
-        for z in zeros:
-            yield base + z
-        base += period
+    two_r1 = 2 * fundamental[0] % m
+    prev, cur = 0, fundamental[1] % m
+    k0 = 1
+    while cur:
+        prev, cur = cur, (two_r1 * cur - prev) % m
+        k0 += 1
+    return itertools.count(0, k0)

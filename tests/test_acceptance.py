@@ -13,7 +13,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from factoridiv import cli
+from factoridiv import cli, construct
 from factoridiv.construct import (
     ConstructionBudgetError,
     construct_binomial_power,
@@ -23,7 +23,6 @@ from factoridiv.construct import (
     construct_quadratic,
     construct_quartic_biquadratic,
     construct_quartic_cubic_linear,
-    schinzel_pieces,
 )
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import euler_phi, nu_p_factorial, sieve_primes
@@ -96,7 +95,8 @@ def test_a01_quadratic_family(tmp_path):
 
 def test_a02_cubic_splitting():
     started = time.perf_counter()
-    pieces = schinzel_pieces(CUBIC_ONES, 1)
+    rows = construct._tau_rows(CUBIC_ONES, construct._TAUS_TOP)
+    pieces = next(construct._schinzel_candidates(CUBIC_ONES, 1, rows))
     assert CUBIC_ONES.compose(pieces.g) == (
         pieces.f1.multiply(pieces.f2).scale(pieces.content)
     )

@@ -632,3 +632,18 @@ def test_output_identical_under_python_O(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi", "chebyshev"])
+@pytest.mark.parametrize("top", ["-1", "-2"])
+def test_table_negative_max_is_a_usage_error(kind, top, capsys):
+    # a negative --max once printed an empty table and exited 0
+    assert run(["table", kind, "--max", top], capsys) == (
+        64, "", "factoridiv: error: --max must be non-negative\n"
+    )
+
+
+def test_table_zero_max(capsys):
+    # --max 0 is no error: chebyshev prints T_0, the other tables nothing
+    assert run(["table", "chebyshev", "--max", "0"], capsys) == (0, "0\t1\n", "")
+    assert run(["table", "phi", "--max", "0"], capsys) == (0, "", "")

@@ -19,7 +19,6 @@ from factoridiv import construct, numtheory
 from factoridiv.cli import cert_to_dict
 from factoridiv.construct import (
     ConstructionBudgetError,
-    SchinzelInconsistency,
     WitnessCertificate,
     construct_binomial_power,
     construct_chebyshev,
@@ -28,7 +27,6 @@ from factoridiv.construct import (
     construct_quadratic,
     construct_quartic_biquadratic,
     construct_quartic_cubic_linear,
-    schinzel_pieces,
 )
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import divisors
@@ -107,38 +105,35 @@ def test_quadratic_input_validation():
 # -- cubic splitting ---------------------------------------------------------
 
 
+def first_split(f, kappa, taus):
+    """The first verified split of f(g(x)) over the tau grid, or None."""
+    hits = construct._schinzel_candidates(f, kappa, construct._tau_rows(f, taus))
+    return next(hits, None)
+
+
 def test_schinzel_pieces_flagship():
-    pieces = schinzel_pieces(CUBIC_ONES, 1)
-    # the first public-grid split really divides
-    lhs = CUBIC_ONES.compose(pieces.g)
-    assert lhs == pieces.f1.multiply(pieces.f2).scale(pieces.content)
-    assert pieces.f1.degree == 3 and pieces.f2.degree == 3
-    assert pieces.g.coefficient(0) == 2
-    assert (pieces.A, abs(pieces.B)) == (26, 19)
-    assert pieces.g.coefficient(2) == pieces.A
-    assert pieces.g.coefficient(1) == -pieces.B
-    assert pieces.kappa == 1
+    # the first split of the level-1 (top) grid really divides
+    hit = first_split(CUBIC_ONES, 1, construct._TAUS_TOP)
+    assert hit.g == IntPoly((2, 19, 26))
+    assert CUBIC_ONES.compose(hit.g) == hit.f1.multiply(hit.f2).scale(hit.content)
+    assert hit.f1.degree == 3 and hit.f2.degree == 3
 
 
 def test_schinzel_pieces_random_cubics():
-    # every returned split must satisfy the division identity exactly;
-    # inputs with no split in the scan grid raise instead of lying
+    # every split over the wide grid must satisfy the division identity
+    # exactly; inputs with no split in the grid yield none
     rng = random.Random(42)
-    ok = bad = 0
+    ok = 0
     for _ in range(60):
         f = IntPoly([rng.randint(1, 9) for _ in range(4)])
         kappa = rng.randint(1, 3)
-        try:
-            p = schinzel_pieces(f, kappa)
-        except SchinzelInconsistency as exc:
-            assert exc.scanned > 0
-            bad += 1
+        p = first_split(f, kappa, construct._TAUS_WIDE)
+        if p is None:
             continue
         assert f.compose(p.g) == p.f1.multiply(p.f2).scale(p.content)
         assert p.f1.degree == 3 and p.f2.degree == 3
         assert p.g.degree == 2 and p.g.coefficient(0) == 2 * kappa
         ok += 1
-    assert ok + bad == 60
     assert ok >= 30
 
 
@@ -410,10 +405,10 @@ def fraction_split_guesses(f, kappa, tau, e0, d1, r):
 
 def check_split_guesses(f, kappa):
     """Compare the integer guesses with the Fraction reference at every
-    survivor of the public grid; return the number of survivors."""
-    rows = construct._tau_rows(f, construct._TAUS_PUBLIC)
+    survivor of the wide grid; return the number of survivors."""
+    rows = construct._tau_rows(f, construct._TAUS_WIDE)
     survivors = list(construct._square_rows(rows, kappa))
-    screen = rational_screen(f, kappa, construct._TAUS_PUBLIC)
+    screen = rational_screen(f, kappa, construct._TAUS_WIDE)
     assert [row[0] for row, _ in survivors] == [s[0] for s in screen]
     for (row, root), rational in zip(survivors, screen):
         got = list(construct._split_guesses(f, kappa, row, root))
@@ -475,6 +470,21 @@ def test_cubic_pipeline_certificates_pinned():
     )
 
 
+@pytest.mark.parametrize("cubic, linear, digest", [
+    # p = 315 shares 105 with s_1, and 315 | s_k first at k = 3
+    ((1, 1, 0, 1), (2, 1),
+     "2c9d70a4a1ae39cdd975c9d83c89d338f198e853b93d0307ffa7f03f8b31fe5c"),
+    # p = 34, and 34 | s_k first at k = 2
+    ((1, 0, 1, 1), (3, 1),
+     "5c9af956f1321f295f1a85c7bc5e473ab40169641764a9271b1336461ef1575e"),
+])
+def test_quartic_cubic_linear_pinned(cubic, linear, digest):
+    # digests of the certificate JSON from the index filter that walked a
+    # whole period of the pair sequence mod p
+    certs = construct_quartic_cubic_linear(IntPoly(cubic), IntPoly(linear), 2)
+    assert _certs_digest(certs) == digest
+
+
 @pytest.mark.parametrize("coeffs, digest", [
     # four of these need a shift of 1 or 2 to positive coefficients
     ((1, -2, 0, 1),
@@ -515,15 +525,6 @@ def test_quartic_biquadratic_pinned(first, second, count, digest):
 def test_chebyshev_pinned(ms, s_values, digest):
     certs = construct_chebyshev(ms, s_values, Fraction(9, 8))
     assert _certs_digest(certs) == digest
-
-
-def test_schinzel_pieces_input_validation():
-    with pytest.raises(ValueError):
-        schinzel_pieces(X2P1, 1)
-    with pytest.raises(ValueError):
-        schinzel_pieces(IntPoly((1, 1, 1, -1)), 1)
-    with pytest.raises(ValueError):
-        schinzel_pieces(CUBIC_ONES, 0)
 
 
 def test_construct_cubic_flagship():

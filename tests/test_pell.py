@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import diop_DN
 
@@ -148,3 +148,37 @@ def test_indices_match_direct_scan():
             assert got == direct, (d, m)
             assert got[0] == 0
             assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def period_walk(fund, m):
+    """Reference: every k >= 0 with m | s_k, from the zeros of s within one
+    period of the pair sequence mod m, repeated period after period."""
+    r1m, s1m = fund[0] % m, fund[1] % m
+    start = ((1 % m, 0), (r1m, s1m))
+    zeros, (prev, cur), k = [0], start, 1
+    while k == 1 or (prev, cur) != start:
+        if cur[1] == 0:
+            zeros.append(k)
+        prev, cur = cur, (
+            (2 * r1m * cur[0] - prev[0]) % m,
+            (2 * r1m * cur[1] - prev[1]) % m,
+        )
+        k += 1
+    period = k - 1
+    zeros = [z for z in zeros if z < period]
+    return (base + z for base in itertools.count(0, period) for z in zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 3000), m=st.integers(1, 400))
+@example(d=2, m=1)
+@example(d=13, m=36)  # s_1 = 180, so m | s_1
+@example(d=7506001976, m=315)  # gcd(m, s_1) = 105, and m | s_k first at k = 3
+def test_indices_match_period_walk(d, m):
+    # strong divisibility: the indices are the multiples of the first one,
+    # exactly the zeros that a whole period of the pair sequence yields
+    if math.isqrt(d) ** 2 == d:
+        d += 1
+    fund = fundamental_solution(d)
+    got = list(itertools.islice(indices_with_s_divisible(d, fund, m), 10))
+    assert got == list(itertools.islice(period_walk(fund, m), 10))

@@ -15,7 +15,6 @@ from factoridiv import (
     ScanSummary,
     VerificationReport,
     WitnessCertificate,
-    schinzel_pieces,
     verify,
 )
 from factoridiv.intpoly import ContentSplit, IntPoly
@@ -34,7 +33,6 @@ def records():
         X2P1.scale(-3).content_split(),
         factorize(-360),
         cert(),
-        schinzel_pieces(IntPoly((1, 1, 1, 1))),
         ScanRecord(7, 50, 5, "0.8271"),
         ScanSummary(19, 1, 0, "0.8271"),
         verify(cert()),
