@@ -1,5 +1,6 @@
 """Command line round trips and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -586,6 +587,24 @@ def test_scan_budget_and_jobs(capsys, monkeypatch):
     for jobs in ("0", "-2"):
         code, _, err = run(scan + ["--jobs", jobs], capsys)
         assert code == 64 and "factoridiv: error:" in err
+
+
+# stdout sha256 recorded before the comparisons avoided the big powers,
+# when these took 13 s, 25 s and 903 s through the CLI (2 vCPUs, Python
+# 3.11.7); each now takes well under a second
+@pytest.mark.parametrize("theta, stop, sha", [
+    ("99999/100000", "300",
+     "de526e44349f9dd9df8c90e27f9b28e0fd246b105dc34affed393fc45094d2bb"),
+    ("99999/100000", "1000",
+     "ccc82293f71fd42af0452135e135362633dab02ffc956b6ed729c46b2eaa44d6"),
+    ("999999/1000000", "1000",
+     "ccc82293f71fd42af0452135e135362633dab02ffc956b6ed729c46b2eaa44d6"),
+])
+def test_scan_theta_with_large_terms(theta, stop, sha, capsys):
+    code, outtext, _ = run(["scan", "--poly", "1,0,1", "--from", "2",
+                            "--to", stop, "--theta", theta], capsys)
+    assert code == 0
+    assert hashlib.sha256(outtext.encode()).hexdigest() == sha
 
 
 # bench seed-0 arguments of the families whose identity checks must not

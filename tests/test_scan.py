@@ -1,11 +1,14 @@
 """Smoothness scanning over polynomial values."""
 
 import concurrent.futures
+import hashlib
+import json
 import os
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +108,22 @@ def test_record_json_format():
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 10**40),
+    value=st.one_of(st.integers(-1, 1), st.integers(-10**4_000, 10**4_000)),
+    p_plus=st.integers(1, 10**12),
+    exponent=st.decimals(0, 1, places=4),
+)
+def test_record_json_matches_json_dumps(n, value, p_plus, exponent):
+    rec = ScanRecord(n, value, p_plus, str(exponent))
+    assert record_json(rec) == json.dumps(
+        {"n": str(n), "value": str(value), "p_plus": str(p_plus),
+         "exponent": str(exponent)},
+        separators=(",", ":"),
+    )
+
+
 # trial division by these primes factors any value below 9973**2
 ORACLE_PRIMES = sieve_primes(10_000)
 THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(14, 25), Fraction(2, 3),
@@ -112,7 +131,8 @@ THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(14, 25), Fraction(2, 3),
 
 
 def largest_prime_factor(m):
-    """P+ of m >= 2 by trial division up to sqrt(m)."""
+    """P+ of m >= 2 by trial division up to sqrt(m), and sympy for a
+    cofactor above 9973**2."""
     p_plus = 1
     for p in ORACLE_PRIMES:
         if p * p > m:
@@ -120,7 +140,7 @@ def largest_prime_factor(m):
         while m % p == 0:
             p_plus, m = p, m // p
     else:
-        raise AssertionError("value too large for the oracle")
+        return max(p_plus, *sympy.primefactors(m))
     return max(p_plus, m)
 
 
@@ -141,23 +161,32 @@ def oracle_scan(poly, start, stop, theta):
     return records
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
-    start=st.integers(2, 30),
-    length=st.integers(0, 15),
-    theta=st.sampled_from(THETAS),
-)
-@example(coeffs=[6, 6, 0, 6], start=2, length=15, theta=Fraction(2, 3))
-@example(coeffs=[-1, 0, 0, 0, 1], start=2, length=15, theta=Fraction(3, 4))
-@example(coeffs=[0, -5, 1], start=2, length=15, theta=Fraction(1, 2))
-@example(coeffs=[-4, 1], start=2, length=6, theta=Fraction(1, 3))
-@example(coeffs=[-50, 0, 1], start=2, length=15, theta=Fraction(14, 25))
-@example(coeffs=[-20, 0, 0, 0, -20], start=30, length=15, theta=Fraction(3, 4))
-@example(coeffs=[0], start=2, length=5, theta=Fraction(1, 2))
-@example(coeffs=[7], start=2, length=15, theta=Fraction(1, 2))
-def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
-    # degree 0-4, content > 1, reducible, zero and negative values
+X64 = [0] * 64 + [1]
+# (x+1)**2, (x-1)(x+1)**2 and (x**2+1)**2 have roots that do not lift
+# simply; 1009 is a content prime above some t_cap; x**64 reaches 2**640,
+# past one bit per byte unit; (x-300)(x+7) has its integer root in the
+# fifth 64-value window
+ORACLE_EXAMPLES = [
+    ([6, 6, 0, 6], 2, 15, Fraction(2, 3)),
+    ([-1, 0, 0, 0, 1], 2, 15, Fraction(3, 4)),
+    ([0, -5, 1], 2, 15, Fraction(1, 2)),
+    ([-4, 1], 2, 6, Fraction(1, 3)),
+    ([-50, 0, 1], 2, 15, Fraction(14, 25)),
+    ([-20, 0, 0, 0, -20], 30, 15, Fraction(3, 4)),
+    ([0], 2, 5, Fraction(1, 2)),
+    ([7], 2, 15, Fraction(1, 2)),
+    ([1, 2, 1], 2, 600, Fraction(1, 2)),
+    ([-1, -1, 1, 1], 2, 600, Fraction(2, 3)),
+    ([1, 0, 2, 0, 1], 2, 600, Fraction(3, 4)),
+    ([1009, 0, 1009], 2, 600, Fraction(14, 25)),
+    ([1009, 0, 1009], 2, 600, Fraction(1, 3)),
+    (X64, 2, 998, Fraction(1, 3)),
+    ([-2_100, -293, 1], 2, 598, Fraction(1, 2)),
+    ([-1, 0, 0, 0, 1], 2, 600, Fraction(3, 4)),
+]
+
+
+def check_against_oracle(coeffs, start, length, theta):
     poly = IntPoly(coeffs)
     stop = start + length
     records, summary = scan_range(poly, start, stop, theta)
@@ -167,6 +196,157 @@ def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
     assert summary.unresolved == 0
     exps = [Decimal(r.exponent) for r in records]
     assert summary.min_exponent == (str(min(exps)) if exps else None)
+
+
+def examples(cases):
+    def wrap(test):
+        for coeffs, start, length, theta in reversed(cases):
+            test = example(coeffs=coeffs, start=start, length=length,
+                           theta=theta)(test)
+        return test
+    return wrap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+    start=st.integers(2, 30),
+    length=st.integers(0, 600),
+    theta=st.sampled_from(THETAS),
+)
+@examples(ORACLE_EXAMPLES)
+def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
+    # degree 0-4 (and 64), content > 1, reducible and not squarefree, zero
+    # and negative values; 64-value windows, so the ranges span windows and
+    # prime powers well below and above the window length
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_WINDOW", 64)
+        check_against_oracle(coeffs, start, length, theta)
+
+
+# "exact": no low sum certifies, so every candidate takes the exact test;
+# "all": up starts saturated, so every value is a candidate and low alone
+# must never certify a value with a cofactor above the sieve
+PLAN_OVERRIDES = {"exact": {"lam": -(10**9)}, "all": {"up": 255}}
+
+
+@pytest.mark.parametrize("override", sorted(PLAN_OVERRIDES))
+@pytest.mark.parametrize("coeffs, start, length, theta", ORACLE_EXAMPLES)
+def test_candidates_decided_exactly(coeffs, start, length, theta, override,
+                                    monkeypatch):
+    plan = scan._plan
+    fields = PLAN_OVERRIDES[override]
+    monkeypatch.setattr(scan, "_plan",
+                        lambda *args: plan(*args)._replace(**fields))
+    monkeypatch.setattr(scan, "_WINDOW", 64)
+    check_against_oracle(coeffs, start, length, theta)
+
+
+def test_x64_hits():
+    records, summary = scan_range(IntPoly(X64), 2, 1_000, Fraction(1, 3))
+    hits = {r.n for r in records}
+    assert summary.hits == 84 and 512 in hits and 928 not in hits
+
+
+def digest(records):
+    return hashlib.sha256(
+        "".join(record_json(r) + "\n" for r in records).encode()
+    ).hexdigest()
+
+
+# digests of the records before the byte-sum sieve: x**4 - 1 has t_cap
+# 9457, above the window length
+PINNED = [
+    ((-1, 0, 0, 0, 1), 200_000, Fraction(3, 4), 4_943, "0.4643",
+     "799fa40d09c7287c1fb8da2c317d484222b614be31ed59ebe55d43535ed4aaa3"),
+    ((7, 0, 5, 3), 100_000, Fraction(3, 4), 191, "0.5234",
+     "4c50536972c5eab8e8ce84d3f9b0947d8928a6fea67f51c05c28efb07d819f13"),
+    ((1, 0, 1), 200_000, Fraction(14, 25), 1_121, "0.3497",
+     "246e50e7608e6a943226a8e0c3d9bd93e6b5d2321d798bb4b2b6d9a8ef2b0b4f"),
+]
+
+
+@pytest.mark.parametrize("coeffs, stop, theta, hits, least, sha", PINNED,
+                         ids=["x4-1", "cubic", "x2+1"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pinned_digests(coeffs, stop, theta, hits, least, sha, jobs,
+                        monkeypatch):
+    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
+    records, summary = scan_range(IntPoly(coeffs), 2, stop, theta, jobs=jobs)
+    assert summary == (stop - 1, hits, 0, least)
+    assert digest(records) == sha
+
+
+def test_pow_cmp_large_exponents_are_fast():
+    # the powers here have millions of bits; the log test decides
+    assert scan._pow_cmp(999, 10**6, 1_000, 999_999) == -1
+    assert scan._pow_cmp(1_000, 10**6, 1_000, 999_999) == 1
+    assert scan._floor_root(1_000, 999_999, 10**6) == 999
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(1, 6),
+    d=st.integers(-2, 2),
+    a=st.integers(1, 10**6),
+    b=st.integers(1, 10**6),
+    j=st.integers(1, 1_000),
+    k=st.integers(1, 1_000),
+    tie=st.booleans(),
+)
+def test_pow_cmp_matches_exact_powers(x, d, a, b, j, k, tie):
+    if tie:
+        # a**k against b**j = x**(j'k): equal at d = 0, a near tie else
+        j = min(j, 40)
+        a, b = max(x**j + d, 1), x**k
+    exact = a**k - b**j
+    assert scan._pow_cmp(a, k, b, j) == (exact > 0) - (exact < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 10**6), j=st.integers(1, 60), k=st.integers(1, 60))
+def test_floor_root_matches_exact(b, j, k):
+    t = scan._floor_root(b, j, k)
+    assert t**k <= b**j < (t + 1) ** k
+
+
+def valuation(x, p):
+    e = 0
+    while not x % p:
+        x, e = x // p, e + 1
+    return e
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any),
+    s=st.integers(-50, 50),
+    p=st.sampled_from([2, 3, 5, 7, 1_999]),
+    e=st.integers(1, 3),
+    split=st.booleans(),
+)
+@example(coeffs=[1], s=0, p=1_999, e=1, split=False)  # x**2
+def test_singular_class_matches_valuations(coeffs, s, p, e, split):
+    # g = h (x - s)**2, so p | g'(s) and the class of s mod p**e takes the
+    # general path: every n in it has v_p(g(n)) >= mu, exactly mu unless
+    # n = r + t p**e (mod p**(e+1)) with t listed, and more if t is.  With
+    # split (and always for p = 1999) the zeros of Q come from
+    # Cantor-Zassenhaus, else from its values
+    g = IntPoly(coeffs).multiply(IntPoly((s * s, -2 * s, 1)))
+    dg = IntPoly(i * c for i, c in enumerate(g.coeffs) if i)
+    m = p**e
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            mp.setattr(scan, "_CZ_FROM", 0)
+        mu, ts = scan._node(g, dg, p, e, r := s % m)
+    assert len(set(ts)) == len(ts)
+    for t in range(p):
+        values = [g.evaluate(r + (t + u * p) * m) for u in range(3)]
+        vals = {valuation(v, p) for v in values if v}  # g(n) = 0 is no fault
+        if t in ts:
+            assert min(vals, default=mu + 1) > mu
+        else:
+            assert vals == {mu}
 
 
 def test_scan_quartic_across_windows(monkeypatch):
