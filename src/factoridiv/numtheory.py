@@ -238,7 +238,7 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> PrimeFactorization
             found[p] = found.get(p, 0) + 1
             m //= p
     remaining = budget
-    rng = random.Random((m << 16) ^ 0xF1D0)
+    rng = None  # seeded with m once rho first runs
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
@@ -251,6 +251,7 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> PrimeFactorization
             r = math.isqrt(v)
             stack.extend((r, r))
             continue
+        rng = rng or random.Random((m << 16) ^ 0xF1D0)
         d, used = _brent_rho(v, remaining, rng)
         remaining -= used
         if d == 0:

@@ -29,25 +29,50 @@ window keeps two bytearrays, up and low, and every class adds to its n,
 with one C-level translate of a slice, the least up(p**w) and the
 greatest low(p**w) with 2**(b up) >= p**(a w) >= 2**(b low), saturating
 at 255.  So up[n] >= a/b log2 S and low[n] <= a/b log2 S, where S is the
-part of |f(n)| made of sieve primes.  top[n] is set to p by the classes
-mod p; primes run in ascending order, so it ends at the largest.
+part of |f(n)| that the window's classes and the content count.  top[n]
+is set to p by the classes mod p; primes run in ascending order, so it
+ends at the largest.
 
-Deciding a value, with B the bit length of |f(n)| >= 2 and P the largest
-sieve prime:
-- candidate iff b up >= a (B - 1).  A smooth value (S = |f(n)|) has
-  a/b log2 S >= a/b (B - 1), and a saturated byte still passes, since
-  a (B - 1) / b <= 255 by the choice of unit.  A value that is no
-  candidate is not smooth, so not a hit.
-- a candidate is smooth if b low >= a B - lam, lam = floor(a log2(P+1)).
-  Proof: a cofactor |f(n)| / S above 1 has only primes above the sieve,
-  so it is at least P + 1, and then S < 2**B / (P+1) gives b low <=
-  a log2 S < a B - a log2(P+1) <= a B - lam.  Saturation only lowers low.
-- any other candidate is smooth iff pow(M mod |f(n)|, B, |f(n)|) = 0, M
-  the product of the sieve primes: no exponent in |f(n)| reaches B.
-A smooth value is a hit iff P+**k < n**j with P+ = max(top[n], P+(c)).  A
-value that is not smooth has a prime factor above t_cap >= t_n =
-floor(n**(j/k)), so P+**k > n**j.  No value is divided per hit, none is
-misclassified, and no per-value root is taken.
+Windows.  A hit at n needs P+ <= t_n = floor(n**(j/k)), so the window
+[lo, hi] sieves only the classes of the primes up to P = t_hi =
+floor(hi**(j/k)): a value with a prime factor above P is no hit in it.
+So S holds every prime up to P to its full exponent, and a content prime
+above P to at most its full exponent.  With B the bit length of
+|f(n)| >= 2:
+- candidate iff b up >= a (B - 1).  A value whose prime factors are all
+  at most P has S = |f(n)| and a/b log2 S >= a/b (B - 1), and a saturated
+  byte still passes, since a (B - 1) / b <= 255 by the choice of unit.  A
+  value that is no candidate has a prime factor above P: no hit.
+- a candidate has S = |f(n)| if b low >= a B - lam, lam = floor(a
+  log2(P+1)) (_lam).  Proof: a cofactor |f(n)| / S above 1 has only
+  primes above P, so it is at least P + 1, and then S < 2**B / (P+1)
+  gives b low <= a log2 S < a B - a log2(P+1) <= a B - lam.  Saturation
+  only lowers low.
+- any other candidate has no prime factor above P, and then S = |f(n)|,
+  iff pow(M mod |f(n)|, B, |f(n)|) = 0, M the product of the primes up
+  to P: no exponent in |f(n)| reaches B.  M holds no prime above P: a
+  prime q in (P, t_cap] is not sieved in the window, so a value with q
+  would pass and, q missing from top, be taken for a hit.
+A value with S = |f(n)| has P+ = max(top[n], P+(c)), a content prime
+above P included.  It is a hit iff P+**k < n**j: with t_lo =
+floor(lo**(j/k)), P+ < t_lo gives P+**k < t_lo**k <= lo**j <= n**j, a
+hit, and P+ > t_hi gives P+**k >= (t_hi+1)**k > hi**j >= n**j, none, so
+only P+ in [t_lo, t_hi] calls _pow_cmp.  Every other value has a prime
+factor above P >= t_n, so P+**k > n**j.  No value is divided per hit,
+none is misclassified, and no per-value root is taken.
+
+Values.  The candidate bound of the shortest value in a window admits
+every candidate in it.  For f of degree d >= 1 with coefficients a_i,
+rise = 2 max_i 2**ceil(e_i / i), with e_i = max(bits(a_(d-i)) - bits(a_d)
++ 1, 0) for i = 1..d, exceeds every real root of f and of f': 2**e_i >
+|a_(d-i) / a_d|, so by Fujiwara's bound (Tohoku Math. J. 10, 1916) every
+complex root z of f has |z| <= 2 max_i |a_(d-i) / a_d|**(1/i) < rise, and
+by Gauss-Lucas the roots of f' lie in their convex hull.  On [rise, oo)
+neither f nor f' vanishes, so both have the sign of a_d, f f' > 0 and
+|f| increases (for d = 0, rise = 0 and |f| is constant).  A window with
+lo >= rise takes the bound from |f(lo)| and evaluates f by Horner at its
+candidates only; a window below rise computes all its values (_values)
+and takes their least bit length.
 
 A value with |f(n)| <= 1, f(n) = 0 included, has no prime factors at all:
 it is a vacuous hit with P+ = 1 and exponent 0.0000.
@@ -71,11 +96,13 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
+from operator import itemgetter
 
 from .intpoly import IntPoly
 from .numtheory import _ln, decimal_log_ratio, sieve_primes
@@ -241,12 +268,30 @@ def _node(g: IntPoly, dg: IntPoly, p: int, e: int, r: int):
                 if not v % p]
 
 
-# The windows' shared part: the scale a/b of the byte sums, lam, the
-# sieve primes, the content's share (up, low, P+) of every
+# The windows' shared part: the scale a/b of the byte sums, rise (see
+# _rise), the sieve primes, the content's share (up, low, P+) of every
 # value's sums, and the byte updates of each prime-power class as
-# (modulus, residue, up table, low table, p at level 1 else 0): slices
-# (modulus <= _WINDOW) and strides (above it, at most one n per window).
-_Plan = namedtuple("_Plan", "a b lam primes up low top slices strides")
+# (modulus, residue, up table, low table, p at level 1 else 0, p): slices
+# (modulus <= _WINDOW) and strides (above it, at most one n per window),
+# each in ascending order of p, so that a window takes a prefix of each.
+_Plan = namedtuple("_Plan", "a b rise primes up low top slices strides")
+
+_BASE = itemgetter(5)  # the prime of a class
+
+
+def _rise(poly: IntPoly) -> int:
+    """An n from which |f| increases, or stays constant for deg f <= 0: a
+    bound above the real roots of f and f' (Values, module docstring)."""
+    *rest, lead = poly.coeffs or (0,)
+    shift = lead.bit_length() - 1
+    return 2 * max((1 << -(-max(c.bit_length() - shift, 0) // i)
+                    for i, c in enumerate(reversed(rest), 1)), default=0)
+
+
+def _lam(t: int, a: int) -> int:
+    """floor(a log2(t + 1)), at most a log2 of any integer above 1 whose
+    prime factors all exceed t."""
+    return ((t + 1) ** a).bit_length() - 1
 
 
 def _plan(poly: IntPoly, start: int, stop: int, primes: list[int]) -> _Plan:
@@ -289,61 +334,72 @@ def _plan(poly: IntPoly, start: int, stop: int, primes: list[int]) -> _Plan:
                     if n <= stop and (v := g.evaluate(n)):
                         w = _valuation(v, p) - base
                         strides.append(
-                            (m, r, *tables(p, w), p if e == 1 else 0))
+                            (m, r, *tables(p, w), p if e == 1 else 0, p))
                     continue
                 mu, ts = _node(g, dg, p, e, r)
                 (slices if m <= _WINDOW else strides).append(
-                    (m, r, *tables(p, mu - base), p if e == 1 else 0))
+                    (m, r, *tables(p, mu - base), p if e == 1 else 0, p))
                 stack += [(e + 1, r + t * m, mu) for t in ts]
-    # a cofactor of primes above the sieve is at least P + 1
-    lam = ((primes[-1] + 1 if primes else 2) ** a).bit_length() - 1
-    return _Plan(a, b, lam, primes, up, low, top, slices, strides)
+    return _Plan(a, b, _rise(poly), primes, up, low, top, slices, strides)
 
 
 def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
     """The hits among n in window = (lo, hi), in order, as ScanRecords."""
     lo, hi = window
-    values = _values(poly, lo, hi)
-    size = len(values)
+    size = hi - lo + 1
+    # a hit needs P+ <= t_hi: the primes above it are not sieved here
+    t_lo, t_hi = _floor_root(lo, j, k), _floor_root(hi, j, k)
     up = bytearray([plan.up]) * size
     low = bytearray([plan.low]) * size
     top = [1] * size
-    for m, r, add_up, add_low, p in plan.slices:
+    for m, r, add_up, add_low, p, _ in islice(
+            plan.slices, bisect_right(plan.slices, t_hi, key=_BASE)):
         i = (r - lo) % m
         up[i::m] = up[i::m].translate(add_up)
         low[i::m] = low[i::m].translate(add_low)
         if p:
             top[i::m] = [p] * len(range(i, size, m))
-    for m, r, add_up, add_low, p in plan.strides:
+    for m, r, add_up, add_low, p, _ in islice(
+            plan.strides, bisect_right(plan.strides, t_hi, key=_BASE)):
         i = (r - lo) % m
         if i < size:
             up[i] = add_up[up[i]]
             low[i] = add_low[low[i]]
             if p:
                 top[i] = p
-    a, b, lam = plan.a, plan.b, plan.lam
+    a, b = plan.a, plan.b
+    if lo < plan.rise:
+        values = _values(poly, lo, hi)
+        shortest = min(map(int.bit_length, values))
+    else:  # |f| increases from lo on: f(lo) is the shortest value
+        values = None
+        shortest = poly.evaluate(lo).bit_length()
     # the candidate bound of the shortest value admits every candidate
-    least = -(-a * max(min(map(int.bit_length, values)) - 1, 0) // b)
+    least = -(-a * max(shortest - 1, 0) // b)
+    lam = _lam(t_hi, a)
     records = []
-    mod = None  # the product of the sieve primes, once a candidate needs it
+    mod = None  # the product of the primes up to t_hi, once needed
     at_least = bytes(least) + b"\x01" * (256 - least)  # x -> [x >= least]
     for i in compress(range(size), up.translate(at_least)):
-        n, value = lo + i, values[i]
+        n = lo + i
+        value = poly.evaluate(n) if values is None else values[i]
         bits = value.bit_length()
         if bits <= 1:
             # |f(n)| <= 1 has no prime factors: a vacuous hit
             records.append(ScanRecord(n, value, 1, "0.0000"))
             continue
         if b * up[i] < a * (bits - 1):
-            continue  # a prime factor above the sieve
+            continue  # a prime factor above t_hi
         if b * low[i] < a * bits - lam:
-            # not certified by low: smooth iff |f(n)| divides mod**bits
-            mod = mod or math.prod(plan.primes)
+            # not certified by low: P+ <= t_hi iff |f(n)| divides mod**bits
+            if mod is None:
+                mod = math.prod(islice(plan.primes,
+                                       bisect_right(plan.primes, t_hi)))
             v = abs(value)
             if pow(mod % v, bits, v):
                 continue
         p_plus = max(top[i], plan.top)
-        if _pow_cmp(p_plus, k, n, j) < 0:
+        if p_plus < t_lo or p_plus <= t_hi and _pow_cmp(p_plus, k, n, j) < 0:
             records.append(
                 ScanRecord(n, value, p_plus, str(decimal_log_ratio(p_plus, n)))
             )

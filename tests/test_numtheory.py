@@ -124,6 +124,26 @@ def test_factorize_random_words():
         assert list(fac.factors) == sorted(fac.factors)
 
 
+def test_factorize_seeds_rho_only_when_it_runs(monkeypatch):
+    seeds = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(numtheory.random, "Random", Recorded)
+    # trial division and the prime test finish these: no generator
+    for m in (12, 2 * 3 * 10_007, -(7**5), M61 * 4):
+        assert factorize(m).value == m
+    assert seeds == []
+    # rho splits the cofactor left by trial division, seeded with it
+    q = 1_000_003 * 1_000_033
+    assert dict(factorize(6 * q).factors) == {2: 1, 3: 1, 1_000_003: 1,
+                                              1_000_033: 1}
+    assert seeds == [(q << 16) ^ 0xF1D0]
+
+
 def test_factorize_budget_error():
     q = next_prime(2**62)
     m = M61 * q

@@ -144,14 +144,28 @@ def largest_prime_factor(m):
     return max(p_plus, m)
 
 
-def oracle_scan(poly, start, stop, theta):
-    """Full-factorization reference records for any polynomial."""
+def resolved(n, theta, budget):
+    """Whether pi(floor(n**theta)) <= budget, for floor(n**theta) < 10**4."""
+    if budget is None:
+        return True
+    j, k = theta.numerator, theta.denominator
+    t = 1
+    while (t + 1) ** k <= n**j:
+        t += 1
+    return sum(p <= t for p in ORACLE_PRIMES) <= budget
+
+
+def oracle_scan(poly, start, stop, theta, budget=None):
+    """Full-factorization reference records for any polynomial, leaving
+    out the values a division_budget leaves unresolved."""
     j, k = theta.numerator, theta.denominator
     records = []
     for n in range(start, stop + 1):
         value = poly.evaluate(n)
         if abs(value) <= 1:
             records.append(ScanRecord(n, value, 1, "0.0000"))
+            continue
+        if not resolved(n, theta, budget):
             continue
         p_plus = largest_prime_factor(abs(value))
         if p_plus**k < n**j:
@@ -165,7 +179,11 @@ X64 = [0] * 64 + [1]
 # (x+1)**2, (x-1)(x+1)**2 and (x**2+1)**2 have roots that do not lift
 # simply; 1009 is a content prime above some t_cap; x**64 reaches 2**640,
 # past one bit per byte unit; (x-300)(x+7) has its integer root in the
-# fifth 64-value window
+# fifth 64-value window.  x**2 - 2000, -x**2 + 3x + 2000 and x**3 - 3000x
+# (critical point 31.6, roots 0 and 54.8) have real roots of f and f' in
+# windows below their monotone bound 128 (scan._rise); x**2 + 1 near
+# 10**10 sieves primes up to 10**5, above 65 535; and x at n = 49 = 7**2,
+# a window's first n, has P+ = 7 = floor(49**(1/2)), which is no hit
 ORACLE_EXAMPLES = [
     ([6, 6, 0, 6], 2, 15, Fraction(2, 3)),
     ([-1, 0, 0, 0, 1], 2, 15, Fraction(3, 4)),
@@ -183,19 +201,38 @@ ORACLE_EXAMPLES = [
     (X64, 2, 998, Fraction(1, 3)),
     ([-2_100, -293, 1], 2, 598, Fraction(1, 2)),
     ([-1, 0, 0, 0, 1], 2, 600, Fraction(3, 4)),
+    ([-2_000, 0, 1], 2, 600, Fraction(1, 2)),
+    ([2_000, 3, -1], 2, 600, Fraction(2, 3)),
+    ([0, -3_000, 0, 1], 2, 600, Fraction(3, 4)),
+    ([1, 0, 1], 10**10, 300, Fraction(1, 2)),
+    ([0, 1], 49, 15, Fraction(1, 2)),
+]
+
+# (coeffs, start, length, theta, division_budget) with a budget cut inside
+# the range and a last window whose t_hi lies above the last budget prime:
+# for x**2 + 1, [514, 528] has t_hi = 22 > 19, and the other two have
+# 72 > 71 and 40 > 37
+BUDGET_EXAMPLES = [
+    ([1, 0, 1], 2, 600, Fraction(1, 2), 8),
+    ([-1, 0, 0, 0, 1], 2, 600, Fraction(3, 4), 20),
+    ([6, 6, 0, 6], 2, 600, Fraction(2, 3), 12),
 ]
 
 
-def check_against_oracle(coeffs, start, length, theta):
+def check_against_oracle(coeffs, start, length, theta, budget=None):
     poly = IntPoly(coeffs)
     stop = start + length
-    records, summary = scan_range(poly, start, stop, theta)
-    assert records == oracle_scan(poly, start, stop, theta)
+    cap = {} if budget is None else {"division_budget": budget}
+    records, summary = scan_range(poly, start, stop, theta, **cap)
+    assert records == oracle_scan(poly, start, stop, theta, budget)
     assert summary.examined == length + 1
     assert summary.hits == len(records)
-    assert summary.unresolved == 0
+    assert summary.unresolved == sum(
+        abs(poly.evaluate(n)) > 1 and not resolved(n, theta, budget)
+        for n in range(start, stop + 1))
     exps = [Decimal(r.exponent) for r in records]
     assert summary.min_exponent == (str(min(exps)) if exps else None)
+    return records
 
 
 def examples(cases):
@@ -224,22 +261,45 @@ def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
         check_against_oracle(coeffs, start, length, theta)
 
 
-# "exact": no low sum certifies, so every candidate takes the exact test;
-# "all": up starts saturated, so every value is a candidate and low alone
-# must never certify a value with a cofactor above the sieve
-PLAN_OVERRIDES = {"exact": {"lam": -(10**9)}, "all": {"up": 255}}
+def decided_exactly(case, override, monkeypatch):
+    """check_against_oracle on 64-value windows, with every value a
+    candidate ("all") or every candidate decided by the exact test
+    ("exact")."""
+    monkeypatch.setattr(scan, "_WINDOW", 64)
+    exact = []
+    if override == "all":
+        # up starts saturated, so every value is a candidate and low alone
+        # must never certify a value with a cofactor above the sieve
+        plan = scan._plan
+        monkeypatch.setattr(scan, "_plan",
+                            lambda *args: plan(*args)._replace(up=255))
+    elif override == "exact":
+        # no low sum certifies, so every candidate takes the exact test;
+        # the pow calls with a positive exponent are those tests
+        def counted(*args):
+            if args[1] > 0:
+                exact.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(scan, "_lam", lambda t, a: -(10**9))
+        monkeypatch.setattr(scan, "pow", counted, raising=False)
+    records = check_against_oracle(*case)
+    if override == "exact":
+        # every smooth value with a prime factor was decided by pow
+        assert len(exact) >= sum(r.p_plus > 1 for r in records)
 
 
-@pytest.mark.parametrize("override", sorted(PLAN_OVERRIDES))
+@pytest.mark.parametrize("override", ["all", "exact"])
 @pytest.mark.parametrize("coeffs, start, length, theta", ORACLE_EXAMPLES)
 def test_candidates_decided_exactly(coeffs, start, length, theta, override,
                                     monkeypatch):
-    plan = scan._plan
-    fields = PLAN_OVERRIDES[override]
-    monkeypatch.setattr(scan, "_plan",
-                        lambda *args: plan(*args)._replace(**fields))
-    monkeypatch.setattr(scan, "_WINDOW", 64)
-    check_against_oracle(coeffs, start, length, theta)
+    decided_exactly((coeffs, start, length, theta), override, monkeypatch)
+
+
+@pytest.mark.parametrize("override", ["none", "all", "exact"])
+@pytest.mark.parametrize("case", BUDGET_EXAMPLES)
+def test_budget_cut_matches_oracle(case, override, monkeypatch):
+    decided_exactly(case, override, monkeypatch)
 
 
 def test_x64_hits():
