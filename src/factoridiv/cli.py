@@ -12,10 +12,9 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
-from .certificate import WitnessCertificate
+from .certificate import MAX_DIGITS, cert_from_dict, cert_to_dict, read_entries
 from .construct import (
     ConstructionBudgetError,
     construct_binomial_power,
@@ -27,13 +26,7 @@ from .construct import (
     construct_quartic_cubic_linear,
 )
 from .intpoly import IntPoly
-from .numtheory import (
-    DEFAULT_FACTOR_BUDGET,
-    decimal_digits,
-    decimal_from_int,
-    decimal_str,
-    int_from_digits,
-)
+from .numtheory import DEFAULT_FACTOR_BUDGET, decimal_digits
 from .scan import record_json, scan_range
 from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
@@ -43,12 +36,6 @@ EXIT_REJECT = 1
 EXIT_BUDGET = 2
 EXIT_UNVERIFIABLE = 3
 EXIT_USAGE = 64
-
-CERT_VERSION = 1
-
-# the most decimal digits an integer of a certificate may have; main raises
-# Python's int_max_str_digits to it
-MAX_DIGITS = 2_000_000
 
 
 class UsageError(Exception):
@@ -61,89 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def cert_to_dict(cert: WitnessCertificate) -> dict:
-    return {
-        "v": CERT_VERSION,
-        "class": cert.class_tag,
-        "poly": [decimal_str(c) for c in cert.poly.coeffs],
-        "n": decimal_str(cert.n),
-        "factors": [decimal_str(f) for f in cert.factors],
-        "params": dict(cert.params),
-        "mode": cert.mode_hint,
-    }
-
-
-def _int(value) -> int:
-    # a JSON float or boolean is no integer, though int() would take it
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {type(value).__name__}")
-    # plain digit strings within the format bound parse in subquadratic time
-    # and whatever int_max_str_digits is; every other string, over-long ones
-    # included, goes to int() with its syntax and error messages
-    if (isinstance(value, str) and len(value) <= MAX_DIGITS
-            and value.isascii() and value.isdigit()):
-        return int_from_digits(value)
-    return int(value)
-
-
-def _decimal(value) -> Decimal:
-    # n and the factors are checked in decimal, the base they are written
-    # in: Decimal() reads plain digits in linear time; anything else is
-    # read by _int, with its checks and messages, and brought across
-    if (isinstance(value, str) and len(value) <= MAX_DIGITS
-            and value.isascii() and value.isdigit()):
-        return Decimal(value)
-    return decimal_from_int(_int(value))
-
-
-def _json_int(literal: str) -> int:
-    # json would parse an integer literal with int(), quadratic on 3.11
-    if literal.startswith("-"):
-        return -_int(literal[1:])
-    return _int(literal)
-
-
-def _params(value) -> dict:
-    # verify never reads params, so they are kept as written, not converted
-    if not (isinstance(value, dict)
-            and all(isinstance(v, str) for v in value.values())):
-        raise ValueError("certificate field 'params' must map names to strings")
-    return dict(value)
-
-
-def _text(data: dict, key: str, default=None) -> str:
-    # str() of a huge JSON number would take quadratic time
-    value = data.get(key, default)
-    if not isinstance(value, str):
-        raise ValueError(f"certificate field {key!r} must be a string")
-    return value
-
-
-def cert_from_dict(data: dict) -> WitnessCertificate:
-    """Parse one certificate object; unknown fields are ignored, unknown
-    versions rejected.  n and the factors become Decimals, the poly
-    coefficients ints."""
-    if not isinstance(data, dict):
-        raise ValueError("certificate entry must be an object")
-    if data.get("v") != CERT_VERSION:
-        raise ValueError(f"unsupported certificate version {data.get('v')!r}")
-    for key in ("class", "poly", "n", "factors"):
-        if key not in data:
-            raise ValueError(f"missing certificate field {key!r}")
-    for key in ("poly", "factors"):
-        if not isinstance(data[key], list):
-            raise ValueError(f"certificate field {key!r} must be an array")
-    poly = IntPoly(_int(c) for c in data["poly"])
-    return WitnessCertificate(
-        poly=poly,
-        class_tag=_text(data, "class"),
-        n=_decimal(data["n"]),
-        factors=tuple(_decimal(f) for f in data["factors"]),
-        params=_params(data.get("params", {})),
-        mode_hint=_text(data, "mode", "distinct"),
-    )
 
 
 def _write_certs(certs, path: str | None) -> None:
@@ -262,15 +166,10 @@ def _cmd_construct(args, budget: int) -> int:
 
 def _cmd_verify(args, budget: int) -> int:
     with open(args.file) as fh:
-        try:
-            data = json.load(fh, parse_int=_json_int)
-        except RecursionError:
-            raise UsageError("certificate file is nested too deeply") from None
-    if not isinstance(data, list):
-        raise UsageError("certificate file must hold a JSON array")
+        entries = read_entries(fh)
     any_reject = False
     any_unverifiable = False
-    for i, entry in enumerate(data):
+    for i, entry in enumerate(entries):
         try:
             cert = cert_from_dict(entry)
         except (ValueError, TypeError) as exc:
@@ -301,8 +200,8 @@ def _cmd_verify(args, budget: int) -> int:
 def _cmd_scan(args) -> int:
     poly = IntPoly.from_string(args.poly)
     theta = _fraction(args.theta, "--theta")
-    # the library default resolves every value; FACTORIDIV_BUDGET is the
-    # factoring budget of construct and verify, not a sieve cap
+    # without --budget, scan_range's default cap applies; FACTORIDIV_BUDGET
+    # is the factoring budget of construct and verify, not a sieve cap
     cap = {} if args.budget is None else {"division_budget": args.budget}
     records, summary = scan_range(
         poly, args.start, args.stop, theta, jobs=args.jobs, **cap
@@ -314,18 +213,7 @@ def _cmd_scan(args) -> int:
     finally:
         if args.out:
             out.close()
-    print(
-        json.dumps(
-            {
-                "examined": summary.examined,
-                "hits": summary.hits,
-                "unresolved": summary.unresolved,
-                "min_exponent": summary.min_exponent,
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
+    print(json.dumps(summary._asdict(), sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -378,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "so a range under 320 windows runs in-process")
     sca.add_argument("--budget", type=int, default=None,
                      help="cap on the sieve primes per value; values that "
-                     "need more are counted unresolved (default: no cap)")
+                     "need more are counted unresolved (default: 5000000)")
     sca.add_argument("--out", help="output file (default stdout)")
 
     tab = sub.add_parser("table", help="print polynomial tables")
@@ -403,10 +291,7 @@ def main(argv=None) -> int:
         if args.command == "scan":
             return _cmd_scan(args)
         return _cmd_table(args)
-    except UsageError as exc:
-        print(f"factoridiv: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"factoridiv: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

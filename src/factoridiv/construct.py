@@ -48,6 +48,7 @@ from .intpoly import IntPoly
 from .numtheory import (
     BudgetExceededError,
     _mertens_runs,
+    _pow_cmp,
     decimal_digits_upper,
     divisors,
     euler_phi,
@@ -496,21 +497,9 @@ def _cubic_attempt(shift_y, inst, r, s, max_n_digits):
     factors = _absorb_content([abs(x) for x in vals], content, n)
     if not _distinct_ok(factors, n):
         return None
-    if n > 10**6 and _at_least_four_fifths(max(factors), n):
+    if n > 10**6 and _pow_cmp(max(factors), 5, n, 4) >= 0:
         return None  # max factor must stay under n**0.8
     return n, factors
-
-
-def _at_least_four_fifths(m: int, n: int) -> bool:
-    """m**5 >= n**4 for m >= 0, n >= 1, without the powers unless the bit
-    lengths leave it open: 2**(a-5) <= m**5 < 2**a with a = 5 bits(m), and
-    2**(b-4) <= n**4 < 2**b with b = 4 bits(n)."""
-    a, b = 5 * m.bit_length(), 4 * n.bit_length()
-    if a >= b + 5:
-        return True
-    if a <= b - 4:
-        return False
-    return m**5 >= n**4
 
 
 # The cubic and both quartic families share one search.  Each candidate

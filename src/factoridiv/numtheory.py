@@ -362,6 +362,29 @@ def _ln(x) -> float:
     return math.log(float(x.scaleb(-e))) + e * _LN10
 
 
+def _pow_cmp(a: int, k: int, b: int, j: int) -> int:
+    """The sign of a**k - b**j for a >= 0, b >= 1 and k, j >= 1, built only
+    when the bit lengths leave it open and the powers are short or a log
+    test leaves it open too.  2**(A-1) <= a < 2**A for A = bits(a) >= 1, so
+    a**k lies in [2**(k(A-1)), 2**(kA)); likewise b**j, and a = 0 is
+    settled by bits(0) = 0 <= j (bits(b) - 1).  _ln is within a
+    relative 2**-51 of ln, and each product adds 2**-53, so x and y below
+    are each within 1.25 * 2**-51 of k ln a and j ln b, relative: a gap
+    over 2**-44 * (x + y) has the sign of the true one."""
+    ka, jb = k * a.bit_length(), j * b.bit_length()
+    if ka <= jb - j:
+        return -1
+    if jb <= ka - k:
+        return 1
+    # up to about 512 bits the powers cost no more than the two logs
+    if ka > 512:
+        x, y = k * _ln(a), j * _ln(b)
+        if abs(x - y) > (x + y) * 2**-44:
+            return -1 if x < y else 1
+    d = a**k - b**j
+    return (d > 0) - (d < 0)
+
+
 def log_ratio(a, b) -> Decimal:
     """log(a)/log(b) for integers a >= 1, b >= 2, given as ints or as
     integral Decimals, quantized to four decimal places (banker's

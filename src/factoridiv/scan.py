@@ -82,6 +82,9 @@ pi(t_n) > division_budget, where pi counts the primes.  Since t_n grows
 with n, the unresolved values are a suffix of the range; the scanner
 finds where it starts and never sieves it, though vacuous values in it
 are still hits.  A budget of at least pi(t_cap) resolves every value.
+Only the first division_budget + 1 primes are ever used, so the sieve
+stops at a bound on the (division_budget + 1)-th prime (_prime_bound)
+when that is below t_cap: a small budget sieves little near 10**18.
 
 jobs > 1 deals the windows to worker processes, one contiguous run of
 windows per worker.  The classes are found once, in the calling
@@ -105,7 +108,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter
 
 from .intpoly import IntPoly
-from .numtheory import _ln, decimal_log_ratio, sieve_primes
+from .numtheory import _pow_cmp, decimal_log_ratio, sieve_primes
 
 __all__ = [
     "ScanRecord",
@@ -139,28 +142,6 @@ ScanRecord = namedtuple("ScanRecord", "n value p_plus exponent")
 ScanSummary = namedtuple("ScanSummary", "examined hits unresolved min_exponent")
 
 
-def _pow_cmp(a: int, k: int, b: int, j: int) -> int:
-    """The sign of a**k - b**j for a, b >= 1 and k, j >= 1, built only when
-    the bit lengths leave it open and the powers are short or a log test
-    leaves it open too.  2**(A-1) <= a < 2**A for A = bits(a), so a**k lies
-    in [2**(k(A-1)), 2**(kA)); likewise b**j.  numtheory._ln is within a
-    relative 2**-51 of ln, and each product adds 2**-53, so x and y below
-    are each within 1.25 * 2**-51 of k ln a and j ln b, relative: a gap
-    over 2**-44 * (x + y) has the sign of the true one."""
-    ka, jb = k * a.bit_length(), j * b.bit_length()
-    if ka <= jb - j:
-        return -1
-    if jb <= ka - k:
-        return 1
-    # up to about 512 bits the powers cost no more than the two logs
-    if ka > 512:
-        x, y = k * _ln(a), j * _ln(b)
-        if abs(x - y) > (x + y) * 2**-44:
-            return -1 if x < y else 1
-    d = a**k - b**j
-    return (d > 0) - (d < 0)
-
-
 def _floor_root(b: int, j: int, k: int) -> int:
     """Largest t with t**k <= b**j, for b >= 1, by bisection on _pow_cmp:
     no power of the size of b**j is built unless a comparison is a near
@@ -173,6 +154,16 @@ def _floor_root(b: int, j: int, k: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def _prime_bound(m: int) -> int:
+    """An integer at least p_m, the m-th prime, for m >= 1: p_m < m (ln m
+    + ln ln m) for m >= 6 (Rosser & Schoenfeld, Illinois J. Math. 6
+    (1962)), and p_5 = 11.  The + 1 absorbs the float rounding, under 1
+    for any bound below 2**50, and a sieve never reaches a larger one."""
+    if m < 6:
+        return 13
+    return math.ceil(m * (math.log(m) + math.log(math.log(m)))) + 1
 
 
 def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
@@ -438,7 +429,12 @@ def scan_range(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     j, k = theta.numerator, theta.denominator
-    primes = sieve_primes(_floor_root(stop, j, k))
+    # the scan keeps at most the first division_budget + 1 primes, and
+    # there are fewer than t_cap primes up to t_cap
+    bound = _floor_root(stop, j, k)
+    if division_budget < bound:
+        bound = min(bound, _prime_bound(division_budget + 1))
+    primes = sieve_primes(bound)
     cut = stop + 1  # the first unresolved n
     if division_budget < len(primes):
         # pi(t_n) > budget iff t_n >= q iff n**j >= q**k, q the next

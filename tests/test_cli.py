@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factoridiv
-from factoridiv import cli, numtheory
+from factoridiv import certificate, cli, numtheory
 from factoridiv.construct import (
     construct_quadratic,
     construct_quartic_cubic_linear,
@@ -135,9 +135,9 @@ def test_certificate_integers_parse_like_int(
     if arabic_indic:
         digits = digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
     text = pad + sign + digits + pad
-    assert _outcome(cli._int, text) == _outcome(int, text)
+    assert _outcome(certificate._int, text) == _outcome(int, text)
     # n and the factors are read as Decimals, with the same verdicts
-    assert _outcome(cli._decimal, text) == _outcome(int, text)
+    assert _outcome(certificate._decimal, text) == _outcome(int, text)
 
 
 def test_huge_certificates_under_the_default_limit():
@@ -221,7 +221,7 @@ def test_verify_parses_a_literal_n_by_its_digits(tmp_path, capsys, monkeypatch):
         seen.append(digits)
         return numtheory.int_from_digits(digits)
 
-    monkeypatch.setattr(cli, "int_from_digits", spy)
+    monkeypatch.setattr(certificate, "int_from_digits", spy)
     entry = cli.cert_to_dict(construct_quadratic(IntPoly((1, 0, 1)), 1)[0])
     code, _, _ = run(["verify", write_literal_n(tmp_path / "l.json", entry,
                                                 entry["n"])], capsys)
@@ -257,8 +257,8 @@ def test_verify_rejects_non_integer_json(field, value, tmp_path, capsys):
 def test_verify_needs_an_array(tmp_path, capsys):
     path = tmp_path / "notarray.json"
     path.write_text('{"v": 1}')
-    code, _, err = run(["verify", str(path)], capsys)
-    assert code == 64 and "array" in err
+    assert run(["verify", str(path)], capsys) == (
+        64, "", "factoridiv: error: certificate file must hold a JSON array\n")
 
 
 def test_verify_deeply_nested_json_is_a_usage_error(tmp_path):
@@ -413,6 +413,31 @@ def test_construct_budget_exit(tmp_path, capsys):
         assert err.count("\n") == 1 and len(err) < 1024
         report = json.loads(err)
         assert "digits" in report["reason"]
+
+
+def test_construct_internal_error_exit(tmp_path, monkeypatch, capsys):
+    # a constructor that emits a bad certificate: construct still writes
+    # every certificate, then names the failure and exits 1
+    reads, check, complaint, build = cli.FAMILIES["quadratic"]
+
+    def tampered(args, polys):
+        *certs, last = build(args, polys)
+        *factors, top = last.factors
+        return certs + [last._replace(factors=(*factors, top + 2))]
+
+    monkeypatch.setitem(cli.FAMILIES, "quadratic",
+                        (reads, check, complaint, tampered))
+    out = tmp_path / "c.json"
+    code, stdout, err = run(
+        ["construct", "--class", "quadratic", "--poly", "1,0,1",
+         "--count", "2", "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (1, "")
+    assert err == ("internal error: 1 emitted certificate(s) failed "
+                   "verification (product-mismatch)\n")
+    assert [entry["factors"] for entry in json.loads(out.read_text())] == [
+        ["2", "13", "17"], ["2", "25", "39"]]
 
 
 @pytest.mark.parametrize("m", ["2", "3", "4"])

@@ -29,7 +29,7 @@ from factoridiv.construct import (
     construct_quartic_cubic_linear,
 )
 from factoridiv.intpoly import IntPoly
-from factoridiv.numtheory import divisors
+from factoridiv.numtheory import _pow_cmp, divisors
 from factoridiv.specialpoly import chebyshev_t_value
 from factoridiv.verify import verify, verify_distinct
 
@@ -307,7 +307,7 @@ def test_four_fifths_cap_matches_the_powers(n, offset, scale):
     root = iroot(n**4, 5)
     assert root**5 <= n**4 < (root + 1) ** 5
     m = root + offset if scale is None else root * scale // 2
-    assert construct._at_least_four_fifths(m, n) == (m**5 >= n**4)
+    assert (_pow_cmp(m, 5, n, 4) >= 0) == (m**5 >= n**4)
 
 
 def test_four_fifths_cap_at_bit_length_corners():
@@ -318,7 +318,7 @@ def test_four_fifths_cap_at_bit_length_corners():
         for bits_m in range(max(0, lo), hi + 1):
             for m in (1 << bits_m >> 1, (1 << bits_m) - 1):
                 for n in (1 << bits_n >> 1, (1 << bits_n) - 1):
-                    assert construct._at_least_four_fifths(m, n) == (
+                    assert (_pow_cmp(m, 5, n, 4) >= 0) == (
                         m**5 >= n**4), (m, n)
 
 

@@ -457,6 +457,25 @@ def test_scan_budget_keeps_vacuous_hits():
     assert summary.unresolved == 3
 
 
+def test_scan_budget_bounds_the_sieve(monkeypatch):
+    # a budget of 10 primes uses the first 11 only, so the sieve stops far
+    # below t_cap = 10**8; the spy fails before anything is allocated
+    def spy(bound):
+        if bound > 10**6:
+            pytest.fail(f"sieve asked for the primes up to {bound}")
+        return sieve_primes(bound)
+
+    monkeypatch.setattr(scan, "sieve_primes", spy)
+    records, summary = scan_range(X2P1, 10**16, 10**16 + 10, Fraction(1, 2),
+                                  division_budget=10)
+    assert (records, summary.unresolved) == ([], 11)
+
+
+def test_prime_bound_is_at_least_the_mth_prime():
+    primes = sieve_primes(200_000)
+    assert all(scan._prime_bound(m) >= p for m, p in enumerate(primes, 1))
+
+
 class FakePool:
     """A stand-in for ProcessPoolExecutor that maps in-process and keeps
     the worker count and chunk size it was given."""

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factoridiv import cli, numtheory
+from factoridiv import certificate, cli, numtheory
 from factoridiv.construct import WitnessCertificate, construct_quadratic
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import (
@@ -275,7 +275,7 @@ class _WatchedDecimal(decimal.Decimal, metaclass=_AnyDecimal):
 
 def test_no_long_int_is_made_into_a_decimal(tmp_path, monkeypatch, capsys):
     # Decimal(int) is quadratic on 3.10 and 3.11
-    for module in (cli, numtheory, verify_module):
+    for module in (certificate, numtheory, verify_module):
         monkeypatch.setattr(module, "Decimal", _WatchedDecimal)
     rng = random.Random(13)
     f1, f2 = (rng.randrange(10**2_999, 10**3_000) for _ in range(2))
