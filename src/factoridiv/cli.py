@@ -9,6 +9,7 @@ still written), 3 certificate unverifiable within the factoring budget,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,13 +51,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _output(path: str | None):
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _write_certs(certs, path: str | None) -> None:
     text = json.dumps([cert_to_dict(c) for c in certs], indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -206,13 +208,9 @@ def _cmd_scan(args) -> int:
     records, summary = scan_range(
         poly, args.start, args.stop, theta, jobs=args.jobs, **cap
     )
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for rec in records:
             print(record_json(rec), file=out)
-    finally:
-        if args.out:
-            out.close()
     print(json.dumps(summary._asdict(), sort_keys=True), file=sys.stderr)
     return EXIT_OK
 

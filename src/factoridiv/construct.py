@@ -107,21 +107,18 @@ def _require(ok: bool, what: str) -> None:
         raise ArithmeticError(what)
 
 
-def _absorb_content(values: list[int], content: int, n: int) -> list[int]:
-    # Fold |content| into one factor: smallest factor whose scaled value
-    # still fits the distinct rule; if none fits, the smallest regardless
-    # (the mode decision below will demote the certificate).
+def _absorb_content(values: list[int], content: int, n: int) -> list[int] | None:
+    # Fold |content| into one factor: the smallest factor whose scaled
+    # value is at most n and no duplicate, or None when there is none
     c = abs(content)
     if c == 1:
         return list(values)
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    for i in order:
+    for i in sorted(range(len(values)), key=lambda i: values[i]):
         cand = values[i] * c
         rest = values[:i] + values[i + 1 :]
         if cand <= n and cand not in rest:
             return values[:i] + [cand] + values[i + 1 :]
-    i = order[0]
-    return values[:i] + [values[i] * c] + values[i + 1 :]
+    return None
 
 
 def _merge_duplicates(values: list[int], n: int):
@@ -392,12 +389,10 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
 
 def _split(f: IntPoly, g: IntPoly, f1: IntPoly):
     """(content, f2) with f(g(x)) = content * f1(x) * f2(x) and f2 a
-    primitive cubic, as a ContentSplit, or None when there is none."""
+    primitive cubic, as a ContentSplit, or None when there is none.  f(g)
+    has degree 6 (g2 != 0), so an exact quotient by the cubic f1 is a cubic."""
     quot = f.compose(g).exact_divide(f1)
-    if quot is None or quot.is_zero:
-        return None
-    split = quot.content_split()
-    return split if split.primitive.degree == 3 else None
+    return None if quot is None else quot.content_split()
 
 
 def _schinzel_candidates(f: IntPoly, kappa: int, rows):
@@ -495,7 +490,7 @@ def _cubic_attempt(shift_y, inst, r, s, max_n_digits):
     if any(v == 0 for v in vals):
         return None
     factors = _absorb_content([abs(x) for x in vals], content, n)
-    if not _distinct_ok(factors, n):
+    if factors is None or not _distinct_ok(factors, n):
         return None
     if n > 10**6 and _pow_cmp(max(factors), 5, n, 4) >= 0:
         return None  # max factor must stay under n**0.8
@@ -763,7 +758,7 @@ def construct_quartic_biquadratic(
                 vals = [modulus, q1_poly.evaluate(k_val), r_poly.evaluate(u_val),
                         q2_val // c_q, r2_val // c_r]
                 factors = _absorb_content(vals, c1, n)
-                if not _distinct_ok(factors, n):
+                if factors is None or not _distinct_ok(factors, n):
                     return None
                 return n, sorted(factors), {
                     "l": str(l),

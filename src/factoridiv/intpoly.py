@@ -105,29 +105,6 @@ class IntPoly:
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            elif i == 1:
-                term = "x" if mag == 1 else f"{mag}*x"
-            else:
-                term = f"x^{i}" if mag == 1 else f"{mag}*x^{i}"
-            parts.append((sign, term))
-        first_sign, first_term = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            out += f" {sign} {term}"
-        return out
-
     # -- ring operations --------------------------------------------------
 
     def add(self, other: "IntPoly") -> "IntPoly":

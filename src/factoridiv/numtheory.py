@@ -241,9 +241,7 @@ def factorize(m: int, budget: int = DEFAULT_FACTOR_BUDGET) -> PrimeFactorization
     rng = None  # seeded with m once rho first runs
     stack = [m] if m > 1 else []
     while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
+        v = stack.pop()  # > 1: m, a square root, or d, v // d with 1 < d < v
         if is_probable_prime(v):
             found[v] = found.get(v, 0) + 1
             continue

@@ -81,7 +81,8 @@ division_budget caps the sieve primes per value: f(n) is unresolved iff
 pi(t_n) > division_budget, where pi counts the primes.  Since t_n grows
 with n, the unresolved values are a suffix of the range; the scanner
 finds where it starts and never sieves it, though vacuous values in it
-are still hits.  A budget of at least pi(t_cap) resolves every value.
+are still hits, up to the first n >= rise with |f(n)| > 1.  A budget of
+at least pi(t_cap) resolves every value.
 Only the first division_budget + 1 primes are ever used, so the sieve
 stops at a bound on the (division_budget + 1)-th prime (_prime_bound)
 when that is below t_cap: a small budget sieves little near 10**18.
@@ -99,6 +100,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from decimal import Decimal
@@ -432,8 +434,11 @@ def scan_range(
     # the scan keeps at most the first division_budget + 1 primes, and
     # there are fewer than t_cap primes up to t_cap
     bound = _floor_root(stop, j, k)
-    if division_budget < bound:
+    # a budget >= sys.maxsize caps at >= sys.maxsize: skip its float math
+    if division_budget < min(bound, sys.maxsize):
         bound = min(bound, _prime_bound(division_budget + 1))
+    if bound >= sys.maxsize:
+        raise ValueError("the sieve bound is too large to index a bytearray")
     primes = sieve_primes(bound)
     cut = stop + 1  # the first unresolved n
     if division_budget < len(primes):
@@ -461,18 +466,19 @@ def scan_range(
     else:
         batches = map(sieve, windows)
     records = [rec for batch in batches for rec in batch]
-    unresolved = 0
+    tail = []  # the vacuous hits among the unresolved values
     for n in range(cut, stop + 1):
         value = poly.evaluate(n)
         if -1 <= value <= 1:
-            records.append(ScanRecord(n, value, 1, "0.0000"))
-        else:
-            unresolved += 1
+            tail.append(ScanRecord(n, value, 1, "0.0000"))
+        elif n >= plan.rise:
+            break  # |f| increases from rise on: no vacuous value is left
+    records += tail
     exps = [Decimal(rec.exponent) for rec in records]
     summary = ScanSummary(
         examined=stop - start + 1,
         hits=len(records),
-        unresolved=unresolved,
+        unresolved=stop + 1 - cut - len(tail),
         min_exponent=str(min(exps)) if exps else None,
     )
     return records, summary

@@ -360,6 +360,17 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("family, message", [
+    (["binomial", "--m", "2", "--s", "2,x"], "bad integer list '2,x'"),
+    (["quartic-cl", "--poly", "1,1,1,1", "--poly", "1,1,1,1"],
+     "need a factor of degree 1"),
+])
+def test_construct_argument_errors_exit_64(family, message, capsys):
+    code, out, err = run(["construct", "--class"] + family, capsys)
+    assert (code, out) == (64, "")
+    assert err == f"factoridiv: error: {message}\n"
+
+
 def test_seed_flag_is_gone(tmp_path, capsys):
     # factoring and primality take no seed, so neither command has --seed
     out = tmp_path / "certs.json"
@@ -612,6 +623,21 @@ def test_scan_budget_and_jobs(capsys, monkeypatch):
     for jobs in ("0", "-2"):
         code, _, err = run(scan + ["--jobs", jobs], capsys)
         assert code == 64 and "factoridiv: error:" in err
+
+
+def test_scan_sieve_bound_and_budget_tail(capsys):
+    scan = ["scan", "--poly", "1,0,1", "--from", "2", "--theta", "1/2"]
+    # t_cap = 10**350 cannot index a bytearray: a usage error, no traceback
+    code, out, err = run(scan + ["--to", str(10**700),
+                                 "--budget", str(10**400)], capsys)
+    assert (code, out) == (64, "")
+    assert err == ("factoridiv: error: the sieve bound is too large to "
+                   "index a bytearray\n")
+    # budget 100 resolves n < 547**2; the rest of the range is counted
+    code, out, err = run(scan + ["--to", str(10**30), "--budget", "100"],
+                         capsys)
+    assert code == 0 and json.loads(err)["unresolved"] == 10**30 - 299208
+    assert run(scan + ["--to", "299208"], capsys)[1] == out
 
 
 # stdout sha256 recorded before the comparisons avoided the big powers,

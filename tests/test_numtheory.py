@@ -55,6 +55,33 @@ def test_is_probable_prime_large():
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
 
 
+PSI13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+def test_seeded_rounds_reject_psi13():
+    # every fixed base passes psi_13, so only the rounds seeded with n
+    # reject it; the next prime above it passes them all
+    d, r = PSI13 - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in numtheory._MR_BASES:
+        x = pow(a, d, PSI13)
+        assert x in (1, PSI13 - 1) or PSI13 - 1 in (
+            pow(x, 2**i, PSI13) for i in range(1, r))
+    prime = 3317044064679887385962123
+    assert (is_probable_prime(PSI13), is_probable_prime(prime)) == (False, True)
+    assert (sympy.isprime(PSI13), sympy.isprime(prime)) == (False, True)
+
+
+def test_factorize_square_above_trial_division(monkeypatch):
+    # 10007 is above the trial bound, so 10007**2 is split as a square
+    def no_rho(*args):
+        pytest.fail("rho ran on a perfect square")
+
+    monkeypatch.setattr(numtheory, "_brent_rho", no_rho)
+    assert factorize(10007**2).factors == ((10007, 2),)
+
+
 def test_next_prime():
     assert next_prime(0) == 2
     assert next_prime(2) == 2

@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -469,6 +471,65 @@ def test_scan_budget_bounds_the_sieve(monkeypatch):
     records, summary = scan_range(X2P1, 10**16, 10**16 + 10, Fraction(1, 2),
                                   division_budget=10)
     assert (records, summary.unresolved) == ([], 11)
+
+
+class SieveAsked(Exception):
+    pass
+
+
+def test_scan_rejects_an_unindexable_sieve_bound(monkeypatch):
+    # the spy stops the scan when it asks for the sieve, so no bound is
+    # ever allocated here
+    asked = []
+
+    def spy(bound):
+        asked.append(bound)
+        raise SieveAsked
+
+    monkeypatch.setattr(scan, "sieve_primes", spy)
+    half = Fraction(1, 2)
+    # t_cap = 10**350, under a budget above it and one past float range
+    for budget in (10**400, 10**320):
+        with pytest.raises(ValueError, match="too large to index"):
+            scan_range(X2P1, 2, 10**700, half, division_budget=budget)
+    # the largest indexable bound is sieved; one above it is refused
+    top = sys.maxsize - 1
+    with pytest.raises(SieveAsked):
+        scan_range(X2P1, top**2, top**2, half, division_budget=top)
+    with pytest.raises(ValueError, match="too large to index"):
+        scan_range(X2P1, (top + 1) ** 2, (top + 1) ** 2, half,
+                   division_budget=top)
+    assert asked == [top]
+
+
+class HornerUpTo(IntPoly):
+    """An IntPoly that fails when evaluated beyond 10**6."""
+
+    __slots__ = ()
+
+    def evaluate(self, x):
+        if x > 10**6:
+            pytest.fail(f"f evaluated at {x}")
+        return super().evaluate(x)
+
+
+def test_scan_counts_the_unresolved_tail_past_rise():
+    # budget 100: cut = 547**2, 547 the 101st prime; past rise = 4 no value
+    # of x**2 + 1 is vacuous, so the tail up to 10**30 is counted, not
+    # evaluated
+    t0 = time.perf_counter()
+    records, summary = scan_range(HornerUpTo((1, 0, 1)), 2, 10**30,
+                                  Fraction(1, 2), division_budget=100)
+    assert time.perf_counter() - t0 < 2
+    assert summary.unresolved == 10**30 - 299208
+    assert records == scan_range(X2P1, 2, 547**2 - 1, Fraction(1, 2))[0]
+    # x - 4 under budget 0: the tail from 4 has the vacuous n = 4, 5, and
+    # n = 6..15 below rise = 16 are evaluated one by one
+    records, summary = scan_range(HornerUpTo((-4, 1)), 2, 10**30, THETA,
+                                  division_budget=0)
+    assert scan._rise(IntPoly((-4, 1))) == 16
+    assert [r.n for r in records] == [3, 4, 5]
+    assert summary.unresolved == 10**30 - 5
 
 
 def test_prime_bound_is_at_least_the_mth_prime():
