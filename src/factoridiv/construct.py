@@ -97,6 +97,19 @@ class ConstructionBudgetError(BudgetExceededError):
         self.report = dict(report)
 
 
+# How far the searches look.  None decides whether a certificate is valid,
+# and each is read when a search runs.
+_SCAN_LIMIT = 10_000  # quadratic: values of Q, then progression points
+_KAPPA_MAX = 4  # level-1 constants 2 kappa of the cubic pipeline
+_PER_KAPPA = 6  # level-1 splits kept per kappa
+_L_MAX = 30  # level-2 constants 2l of the cubic pipeline
+_BIQ_L_MAX = 12  # chain parameters l of the biquadratic family
+_MODULUS_CAP = 5000  # largest biquadratic cofactor modulus c_q c_r
+_CUBIC_TRIES = 8  # Pell indices tried per cubic instance
+_QUARTIC_TRIES = 3  # Pell indices tried per quartic candidate
+_PELL_DIGIT_BUDGET = DEFAULT_DIGIT_BUDGET  # larger solutions are skipped
+
+
 # --------------------------------------------------------------------------
 # shared emission helpers
 
@@ -151,12 +164,7 @@ def _distinct_ok(values, n: int) -> bool:
 # quadratic family
 
 
-def construct_quadratic(
-    poly: IntPoly,
-    count: int = 1,
-    *,
-    scan_limit: int = 10_000,
-) -> list[WitnessCertificate]:
+def construct_quadratic(poly: IntPoly, count: int = 1) -> list[WitnessCertificate]:
     """Certificates for a quadratic P via the self-composition identity
     P(P(m) + m) = P(m) * Q(m), where Q = P(P(x)+x)/P(x) is an integer
     quadratic.
@@ -174,11 +182,11 @@ def construct_quadratic(
     q_poly = comp.exact_divide(poly)
     _require(q_poly is not None, "P(x) must divide P(P(x)+x)")
     lower = q_poly.leading // poly.leading
-    l, q = find_prime_divisor_of_values(q_poly, lower, scan_limit)
+    l, q = find_prime_divisor_of_values(q_poly, lower, _SCAN_LIMIT)
     certs: list[WitnessCertificate] = []
     m = l if l >= 1 else l + q
     steps = 0
-    while len(certs) < count and steps <= scan_limit:
+    while len(certs) < count and steps <= _SCAN_LIMIT:
         steps += 1
         qm = q_poly.evaluate(m)
         pm = poly.evaluate(m)
@@ -289,8 +297,8 @@ _EngineHit = namedtuple("_EngineHit", "tau g f1 f2 content")
 # square exactly when N >= 0 and isqrt(N)**2 == N, and then
 # r = isqrt(N) / (2 A**2 delta**2).  Only N depends on kappa, so one table
 # of rows (tau, E, N1, N0, 8 A delta N1) per cubic serves every kappa: the
-# level-1 search reuses it for kappa = 1 .. kappa_max, the level-2 search
-# for l = 1 .. l_max.  The survivors stay in integers too: with
+# level-1 search reuses it for kappa = 1 .. _KAPPA_MAX, the level-2 search
+# for l = 1 .. _L_MAX.  The survivors stay in integers too: with
 # D = 2 A**2 delta**2 the matrix D M_E is integral, and
 # det((g1 + 2 g2 x) D I - T D M_E) is D**3 times the resolvent over Q, so
 # both have the same primitive part.
@@ -429,17 +437,11 @@ class _LinkedInstance(namedtuple("_LinkedInstance", "kappa top l r_hit s_hit")):
         return a * c
 
 
-def _level1_variants(p: IntPoly, kappa_max: int, per_kappa: int):
-    rows = _tau_rows(p, _TAUS_TOP)
-    out = []
-    for kappa in range(1, kappa_max + 1):
-        for hit in itertools.islice(_schinzel_candidates(p, kappa, rows), per_kappa):
-            out.append((kappa, hit))
-    return out
-
-
-def _linked_instances(p: IntPoly, kappa_max: int, l_max: int, per_kappa: int):
-    variants = _level1_variants(p, kappa_max, per_kappa)
+def _linked_instances(p: IntPoly):
+    top_rows = _tau_rows(p, _TAUS_TOP)
+    variants = [(kappa, hit) for kappa in range(1, _KAPPA_MAX + 1)
+                for hit in itertools.islice(
+                    _schinzel_candidates(p, kappa, top_rows), _PER_KAPPA)]
     rows = {}  # wide-grid rows of each level-1 factor, shared by every l
 
     def side(cubic, l):
@@ -452,7 +454,7 @@ def _linked_instances(p: IntPoly, kappa_max: int, l_max: int, per_kappa: int):
                 return hit
         return None
 
-    for l in range(1, l_max + 1):
+    for l in range(1, _L_MAX + 1):
         for kappa, top in variants:
             r_hit = side(top.f1, l)
             if r_hit is None:
@@ -504,7 +506,7 @@ def _cubic_attempt(shift_y, inst, r, s, max_n_digits):
 # the pair (r_j, s_j) or gives up on that index.
 
 
-def _pell_search(cls, poly, cases, count, tries, pell_digit_budget, reason):
+def _pell_search(cls, poly, cases, count, tries, reason):
     """Certificates of class cls for poly from the Pell-linked cases.
 
     cases yields one entry per candidate: None for a candidate dropped
@@ -527,7 +529,7 @@ def _pell_search(cls, poly, cases, count, tries, pell_digit_budget, reason):
             continue
         l, pell_d, modulus, attempt = case
         try:
-            fund = fundamental_solution(pell_d, pell_digit_budget)
+            fund = fundamental_solution(pell_d, _PELL_DIGIT_BUDGET)
         except PellBudgetError as exc:
             report.setdefault("blocking_pell_d", str(exc.d))
             report.setdefault("blocking_l", str(l))
@@ -550,15 +552,7 @@ def _pell_search(cls, poly, cases, count, tries, pell_digit_budget, reason):
 
 
 def construct_cubic(
-    poly: IntPoly,
-    count: int = 1,
-    *,
-    kappa_max: int = 4,
-    l_max: int = 30,
-    per_kappa: int = 6,
-    index_cap: int = 8,
-    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    max_n_digits: int = 200_000,
+    poly: IntPoly, count: int = 1, *, max_n_digits: int = 200_000
 ) -> list[WitnessCertificate]:
     """Certificates for a cubic P with positive leading coefficient.
 
@@ -574,7 +568,7 @@ def construct_cubic(
     shift_y, shifted = poly.shift_to_positive()
 
     def cases():
-        for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
+        for inst in _linked_instances(shifted):
 
             def attempt(j, fund):
                 r, s = pair_at(inst.pell_d, fund, j)
@@ -593,21 +587,13 @@ def construct_cubic(
             yield inst.l, inst.pell_d, 1, attempt
 
     return _pell_search(
-        "cubic", poly, cases(), count, index_cap, pell_digit_budget,
-        f"exhausted {{}} linked instances (kappa<={kappa_max}, l<={l_max})",
+        "cubic", poly, cases(), count, _CUBIC_TRIES,
+        f"exhausted {{}} linked instances (kappa<={_KAPPA_MAX}, l<={_L_MAX})",
     )
 
 
 def construct_quartic_cubic_linear(
-    cubic: IntPoly,
-    linear: IntPoly,
-    count: int = 1,
-    *,
-    kappa_max: int = 4,
-    l_max: int = 30,
-    per_kappa: int = 6,
-    index_tries: int = 3,
-    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
+    cubic: IntPoly, linear: IntPoly, count: int = 1, *,
     max_n_digits: int = 400_000,
 ) -> list[WitnessCertificate]:
     """Certificates for P = cubic * linear.
@@ -626,7 +612,7 @@ def construct_quartic_cubic_linear(
     f_eff = linear.coefficient(0) + e * shift_y
 
     def cases():
-        for inst in _linked_instances(shifted, kappa_max, l_max, per_kappa):
+        for inst in _linked_instances(shifted):
             p_val = e * inst.top.g.evaluate(2 * inst.l) + f_eff
             # the cap picks which instances are tried; the index filter
             # itself works for any p
@@ -660,8 +646,8 @@ def construct_quartic_cubic_linear(
 
     return _pell_search(
         "quartic_cubic_linear", cubic.multiply(linear), cases(), count,
-        index_tries, pell_digit_budget,
-        f"exhausted {{}} linked instances (kappa<={kappa_max}, l<={l_max})",
+        _QUARTIC_TRIES,
+        f"exhausted {{}} linked instances (kappa<={_KAPPA_MAX}, l<={_L_MAX})",
     )
 
 
@@ -670,14 +656,7 @@ def construct_quartic_cubic_linear(
 
 
 def construct_quartic_biquadratic(
-    first: IntPoly,
-    second: IntPoly,
-    count: int = 1,
-    *,
-    l_max: int = 12,
-    index_tries: int = 3,
-    modulus_cap: int = 5000,
-    pell_digit_budget: int = DEFAULT_DIGIT_BUDGET,
+    first: IntPoly, second: IntPoly, count: int = 1, *,
     max_n_digits: int = 200_000,
 ) -> list[WitnessCertificate]:
     """Certificates for P = first * second, both positive quadratics.
@@ -700,7 +679,7 @@ def construct_quartic_biquadratic(
 
     def cases():
         sides = ((first, second), (second, first))
-        for l, (u_side, k_side) in itertools.product(range(1, l_max + 1), sides):
+        for l, (u_side, k_side) in itertools.product(range(1, _BIQ_L_MAX + 1), sides):
             c1 = u_side.coefficient(0)
             # R(x) = u_side(c1 x)/c1 has constant term 1 and stays integral
             r_poly = IntPoly(
@@ -738,7 +717,7 @@ def construct_quartic_biquadratic(
             c_q = q2_poly.coefficient(0)
             c_r = r2_poly.coefficient(0)
             modulus = c_q * c_r
-            if modulus < 1 or modulus > modulus_cap:
+            if modulus < 1 or modulus > _MODULUS_CAP:
                 yield None
                 continue
 
@@ -771,8 +750,8 @@ def construct_quartic_biquadratic(
             yield l, pell_d, modulus, attempt
 
     return _pell_search(
-        "quartic_biquadratic", poly, cases(), count, index_tries,
-        pell_digit_budget, "exhausted {} (l, assignment) candidates",
+        "quartic_biquadratic", poly, cases(), count, _QUARTIC_TRIES,
+        "exhausted {} (l, assignment) candidates",
     )
 
 

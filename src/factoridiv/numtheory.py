@@ -11,6 +11,7 @@ FactorizationBudgetError carrying whatever was already split off.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -59,8 +60,8 @@ def sieve_primes(bound: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(itertools.compress(range(bound + 1), sieve))
 
 
 _SMALL_PRIMES = sieve_primes(_TRIAL_BOUND)

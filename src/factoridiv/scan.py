@@ -86,6 +86,9 @@ at least pi(t_cap) resolves every value.
 Only the first division_budget + 1 primes are ever used, so the sieve
 stops at a bound on the (division_budget + 1)-th prime (_prime_bound)
 when that is below t_cap: a small budget sieves little near 10**18.
+If t_start = floor(start**(j/k)) already reaches that bound, every value
+is unresolved and neither the sieve nor the plan is built.  A sieve bound
+above _SIEVE_CAP raises ValueError before anything is allocated.
 
 jobs > 1 deals the windows to worker processes, one contiguous run of
 windows per worker.  The classes are found once, in the calling
@@ -138,6 +141,10 @@ _POOL_WINDOWS = 160
 # near p = 500, 1.0-1.7 times near 1000 and 1.3-2.2 times near 1500
 _CZ_FROM = 1500
 
+# the largest sieve bound: bound + 36 pi(bound) bytes, the bytearray and
+# the prime list, is under 1 GB, and the default budget's bound is 9.1e7
+_SIEVE_CAP = 1 << 28
+
 
 # exponent is log(P+)/log(n) as a string, to four decimal places
 ScanRecord = namedtuple("ScanRecord", "n value p_plus exponent")
@@ -162,7 +169,9 @@ def _prime_bound(m: int) -> int:
     """An integer at least p_m, the m-th prime, for m >= 1: p_m < m (ln m
     + ln ln m) for m >= 6 (Rosser & Schoenfeld, Illinois J. Math. 6
     (1962)), and p_5 = 11.  The + 1 absorbs the float rounding, under 1
-    for any bound below 2**50, and a sieve never reaches a larger one."""
+    for any bound below 2**50; above, p_m < m (ln m + ln ln m - 0.9484)
+    for m >= 39017 (Dusart, Math. Comp. 68 (1999)) leaves a margin above
+    m/2, far more than the rounding."""
     if m < 6:
         return 13
     return math.ceil(m * (math.log(m) + math.log(math.log(m)))) + 1
@@ -189,7 +198,8 @@ def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
 def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     """(p, residues r with f(r) = 0 mod p) for each of the primes that
     divides some f(n) with n in [start, stop], the residues in the order
-    the range meets them, that is by (r - start) mod p."""
+    the range meets them, that is by (r - start) mod p.  f is primitive, so
+    no prime divides all its coefficients."""
     size = stop - start + 1
     # listing reads f at the first min(p, size) values of the range: p
     # consecutive values meet every residue class mod p once, a range
@@ -207,12 +217,11 @@ def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
         m = min(p, size)
         if m <= lim:
             residues = [(start + i) % p for i in range(m) if not head[i] % p]
-        elif any(f := [c % p for c in poly.coeffs]):
+        else:
+            f = [c % p for c in poly.coeffs]
             residues = sorted((r for r in roots_mod(f, p)
                                if (r - start) % p < size),
                               key=lambda r: (r - start) % p)
-        else:  # p divides every coefficient
-            residues = [(start + i) % p for i in range(m)]
         if residues:
             roots.append((p, residues))
     return roots
@@ -434,13 +443,17 @@ def scan_range(
     # the scan keeps at most the first division_budget + 1 primes, and
     # there are fewer than t_cap primes up to t_cap
     bound = _floor_root(stop, j, k)
+    cut = stop + 1  # the first unresolved n
     # a budget >= sys.maxsize caps at >= sys.maxsize: skip its float math
     if division_budget < min(bound, sys.maxsize):
-        bound = min(bound, _prime_bound(division_budget + 1))
-    if bound >= sys.maxsize:
-        raise ValueError("the sieve bound is too large to index a bytearray")
-    primes = sieve_primes(bound)
-    cut = stop + 1  # the first unresolved n
+        q_bound = _prime_bound(division_budget + 1)
+        if _floor_root(start, j, k) >= q_bound:
+            cut = start  # every t_n reaches the next prime: none resolved
+        bound = min(bound, q_bound)
+    if cut > start and bound > _SIEVE_CAP:
+        raise ValueError(f"the sieve bound is above {_SIEVE_CAP}, the "
+                         "largest the scan allocates")
+    primes = sieve_primes(bound) if cut > start else []
     if division_budget < len(primes):
         # pi(t_n) > budget iff t_n >= q iff n**j >= q**k, q the next
         # prime; below cut every t_n < q, so the first budget primes
@@ -449,10 +462,10 @@ def scan_range(
         r = _floor_root(q, k, j)
         cut = max(start, r if _pow_cmp(r, j, q, k) == 0 else r + 1)
         del primes[division_budget:]
-    plan = _plan(poly, start, cut - 1, primes)
     windows = [(lo, min(lo + _WINDOW, cut) - 1)
                for lo in range(start, cut, _WINDOW)]
     jobs = min(jobs, os.cpu_count() or 1, len(windows) // _POOL_WINDOWS)
+    plan = _plan(poly, start, cut - 1, primes) if windows else None
     sieve = partial(_sieve_window, poly, plan, j, k)
     if jobs > 1:
         # imported here: every CLI call would pay for the import otherwise
@@ -467,11 +480,12 @@ def scan_range(
         batches = map(sieve, windows)
     records = [rec for batch in batches for rec in batch]
     tail = []  # the vacuous hits among the unresolved values
+    rise = _rise(poly)
     for n in range(cut, stop + 1):
         value = poly.evaluate(n)
         if -1 <= value <= 1:
             tail.append(ScanRecord(n, value, 1, "0.0000"))
-        elif n >= plan.rise:
+        elif n >= rise:
             break  # |f| increases from rise on: no vacuous value is left
     records += tail
     exps = [Decimal(rec.exponent) for rec in records]

@@ -627,12 +627,14 @@ def test_scan_budget_and_jobs(capsys, monkeypatch):
 
 def test_scan_sieve_bound_and_budget_tail(capsys):
     scan = ["scan", "--poly", "1,0,1", "--from", "2", "--theta", "1/2"]
-    # t_cap = 10**350 cannot index a bytearray: a usage error, no traceback
-    code, out, err = run(scan + ["--to", str(10**700),
-                                 "--budget", str(10**400)], capsys)
-    assert (code, out) == (64, "")
-    assert err == ("factoridiv: error: the sieve bound is too large to "
-                   "index a bytearray\n")
+    # a sieve bound above 2**28 is a usage error, raised before the sieve
+    # is allocated: t_cap = 10**350, and 3.09e13 for a budget of 10**12
+    for stop, budget in ((10**700, 10**400), (10**30, 10**12)):
+        code, out, err = run(scan + ["--to", str(stop),
+                                     "--budget", str(budget)], capsys)
+        assert (code, out) == (64, "")
+        assert err == ("factoridiv: error: the sieve bound is above "
+                       "268435456, the largest the scan allocates\n")
     # budget 100 resolves n < 547**2; the rest of the range is counted
     code, out, err = run(scan + ["--to", str(10**30), "--budget", "100"],
                          capsys)

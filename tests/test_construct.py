@@ -549,23 +549,42 @@ def test_construct_cubic_flagship():
     assert max(cert.factors) ** 5 < cert.n**4
 
 
-def test_construct_cubic_budget_reports():
+def test_construct_cubic_budget_reports(monkeypatch):
+    monkeypatch.setattr(construct, "_KAPPA_MAX", 1)
+    monkeypatch.setattr(construct, "_L_MAX", 2)
+    monkeypatch.setattr(construct, "_PER_KAPPA", 1)
+    monkeypatch.setattr(construct, "_CUBIC_TRIES", 1)
     with pytest.raises(ConstructionBudgetError) as ei:
-        construct_cubic(
-            CUBIC_ONES, kappa_max=1, l_max=2, per_kappa=1, index_cap=1,
-            max_n_digits=1,
-        )
+        construct_cubic(CUBIC_ONES, max_n_digits=1)
     assert ei.value.partial == []
     assert ei.value.report["class"] == "cubic"
-    assert "exhausted" in ei.value.report["reason"]
+    # the reason names the limits in force when the search ran
+    assert ei.value.report["reason"].endswith("(kappa<=1, l<=2)")
     # a Pell digit budget of zero names the blocking instance
+    monkeypatch.setattr(construct, "_L_MAX", 1)
+    monkeypatch.setattr(construct, "_PER_KAPPA", 4)
+    monkeypatch.setattr(construct, "_PELL_DIGIT_BUDGET", 0)
     with pytest.raises(ConstructionBudgetError) as ei:
-        construct_cubic(
-            CUBIC_ONES, kappa_max=1, l_max=1, per_kappa=4, index_cap=1,
-            pell_digit_budget=0, max_n_digits=1,
-        )
+        construct_cubic(CUBIC_ONES, max_n_digits=1)
     assert ei.value.report["blocking_pell_d"] == "129585492816"
     assert ei.value.report["blocking_l"] == "1"
+
+
+@pytest.mark.parametrize("build, args, removed", [
+    (construct_quadratic, (X2P1,), ["scan_limit"]),
+    (construct_cubic, (CUBIC_ONES,),
+     ["kappa_max", "l_max", "per_kappa", "index_cap", "pell_digit_budget"]),
+    (construct_quartic_cubic_linear, (CUBIC_ONES, IntPoly((1, 1))),
+     ["kappa_max", "l_max", "per_kappa", "index_tries", "pell_digit_budget"]),
+    (construct_quartic_biquadratic, (IntPoly((1, 2, 1)), IntPoly((1, 1, 1))),
+     ["l_max", "index_tries", "modulus_cap", "pell_digit_budget"]),
+], ids=["quadratic", "cubic", "quartic-cl", "quartic-qq"])
+def test_search_limits_are_not_keywords(build, args, removed):
+    # the search limits are module constants in construct; a call sets
+    # only count and max_n_digits (the quadratic only count)
+    for name in removed:
+        with pytest.raises(TypeError):
+            build(*args, **{name: 1})
 
 
 def test_construct_cubic_input_validation():
@@ -636,11 +655,11 @@ def test_quartic_input_validation():
 
 def test_quartic_cubic_linear_reports():
     # a Pell digit budget below the one linked instance's solution
-    with pytest.raises(ConstructionBudgetError) as ei:
-        construct_quartic_cubic_linear(
-            CUBIC_ONES, IntPoly((3, 2)), 2, max_n_digits=20_000,
-            pell_digit_budget=40,
-        )
+    with pytest.raises(ConstructionBudgetError) as ei, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_PELL_DIGIT_BUDGET", 40)
+        construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((3, 2)), 2,
+                                       max_n_digits=20_000)
     assert ei.value.partial == []
     assert ei.value.report == {
         "class": "quartic_cubic_linear",
@@ -649,10 +668,11 @@ def test_quartic_cubic_linear_reports():
         "blocking_digits": "41",
         "reason": "exhausted 1 linked instances (kappa<=4, l<=30)",
     }
-    # more certificates asked for than index_tries allows
-    with pytest.raises(ConstructionBudgetError) as ei:
-        construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((1, 1)), 20,
-                                       index_tries=5)
+    # more certificates asked for than the Pell indices tried allow
+    with pytest.raises(ConstructionBudgetError) as ei, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_QUARTIC_TRIES", 5)
+        construct_quartic_cubic_linear(CUBIC_ONES, IntPoly((1, 1)), 20)
     assert [c.params["pell_index"] for c in ei.value.partial] == [
         "11", "22", "33", "44", "55",
     ]
@@ -667,11 +687,12 @@ def test_quartic_cubic_linear_reports():
 
 
 def test_quartic_biquadratic_reports():
-    with pytest.raises(ConstructionBudgetError) as ei:
-        construct_quartic_biquadratic(
-            IntPoly((1, 2, 1)), IntPoly((1, 1, 1)), 30, l_max=4,
-            pell_digit_budget=30,
-        )
+    with pytest.raises(ConstructionBudgetError) as ei, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_BIQ_L_MAX", 4)
+        mp.setattr(construct, "_PELL_DIGIT_BUDGET", 30)
+        construct_quartic_biquadratic(IntPoly((1, 2, 1)), IntPoly((1, 1, 1)),
+                                      30)
     assert [c.params["pell_index"] for c in ei.value.partial] == [
         "10", "20", "30", "80", "160", "240", "105", "210", "315", "66",
         "132", "198",
@@ -685,11 +706,11 @@ def test_quartic_biquadratic_reports():
     }
     # every candidate is counted, also those dropped before their Pell
     # equation
-    with pytest.raises(ConstructionBudgetError) as ei:
-        construct_quartic_biquadratic(
-            IntPoly((3, 1, 2)), IntPoly((1, 4, 1)), 3, max_n_digits=500,
-            modulus_cap=100000,
-        )
+    with pytest.raises(ConstructionBudgetError) as ei, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_MODULUS_CAP", 100000)
+        construct_quartic_biquadratic(IntPoly((3, 1, 2)), IntPoly((1, 4, 1)),
+                                      3, max_n_digits=500)
     assert ei.value.report["reason"] == "exhausted 24 (l, assignment) candidates"
 
 

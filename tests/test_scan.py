@@ -4,14 +4,13 @@ import concurrent.futures
 import hashlib
 import json
 import os
-import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factoridiv import scan
@@ -473,6 +472,37 @@ def test_scan_budget_bounds_the_sieve(monkeypatch):
     assert (records, summary.unresolved) == ([], 11)
 
 
+def test_scan_skips_the_sieve_for_a_wholly_unresolved_range(monkeypatch):
+    half = Fraction(1, 2)
+
+    def refuse(*args):
+        pytest.fail("the scan sieved or planned a range it cannot resolve")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "sieve_primes", refuse)
+        mp.setattr(scan, "_plan", refuse)
+        # t_start = 10**8 is past the default budget's prime bound 9.08e7
+        t0 = time.perf_counter()
+        got = scan_range(X2P1, 10**16, 10**16 + 10, half)
+        assert time.perf_counter() - t0 < 1
+        assert got == ([], scan.ScanSummary(11, 0, 11, None))
+        # budget 0 under t_start = 13: the vacuous values are still hits
+        vacuous = scan_range(IntPoly((-200, 1)), 190, 210, half,
+                             division_budget=0)
+        assert [r.n for r in vacuous[0]] == [199, 200, 201]
+        # budget 24 sieves to t_cap = 100, where the 25th prime 97 is at
+        # most t_start: the sieve runs, the plan does not
+        mp.setattr(scan, "sieve_primes", sieve_primes)
+        sieved = scan_range(X2P1, 10**4, 10**4 + 10, half, division_budget=24)
+        assert sieved == ([], scan.ScanSummary(11, 0, 11, None))
+    # the same answers from a sieve to t_cap, as before the shortcut
+    monkeypatch.setattr(scan, "_prime_bound", lambda m: 10**6)
+    assert scan_range(IntPoly((-200, 1)), 190, 210, half,
+                      division_budget=0) == vacuous
+    assert scan_range(X2P1, 10**4, 10**4 + 10, half,
+                      division_budget=24) == sieved
+
+
 class SieveAsked(Exception):
     pass
 
@@ -488,15 +518,19 @@ def test_scan_rejects_an_unindexable_sieve_bound(monkeypatch):
 
     monkeypatch.setattr(scan, "sieve_primes", spy)
     half = Fraction(1, 2)
-    # t_cap = 10**350, under a budget above it and one past float range
-    for budget in (10**400, 10**320):
-        with pytest.raises(ValueError, match="too large to index"):
-            scan_range(X2P1, 2, 10**700, half, division_budget=budget)
-    # the largest indexable bound is sieved; one above it is refused
-    top = sys.maxsize - 1
+    refused = "the sieve bound is above 268435456"
+    # t_cap = 10**350, under a budget above it and one past float range;
+    # then a budget of 10**12 on [2, 10**30], a bound of 3.09e13
+    for stop, budget in ((10**700, 10**400), (10**700, 10**320),
+                         (10**30, 10**12)):
+        with pytest.raises(ValueError, match=refused):
+            scan_range(X2P1, 2, stop, half, division_budget=budget)
+    # the cap itself is sieved; one above it is refused
+    top = scan._SIEVE_CAP
+    assert top == 2**28
     with pytest.raises(SieveAsked):
         scan_range(X2P1, top**2, top**2, half, division_budget=top)
-    with pytest.raises(ValueError, match="too large to index"):
+    with pytest.raises(ValueError, match=refused):
         scan_range(X2P1, (top + 1) ** 2, (top + 1) ** 2, half,
                    division_budget=top)
     assert asked == [top]
@@ -675,7 +709,7 @@ PRIMES_2000 = sieve_primes(2_000)
 @given(
     coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
     p=st.sampled_from(PRIMES_2000),
-    shape=st.sampled_from(["plain", "content", "lead", "square"]),
+    shape=st.sampled_from(["plain", "lead", "square"]),
     r=st.integers(-50, 50),
     start=st.integers(2, 3_000),
     length=st.integers(0, 2_500),
@@ -688,18 +722,18 @@ PRIMES_2000 = sieve_primes(2_000)
 @example(coeffs=[1, 2], p=1_999, shape="square", r=7, start=2, length=2_500)
 @example(coeffs=[5, 3], p=1_997, shape="lead", r=0, start=2, length=2_500)
 @example(coeffs=[2, 0, 1], p=2, shape="plain", r=0, start=2, length=9)
-@example(coeffs=[4, 1], p=1_999, shape="content", r=0, start=2, length=2_500)
 def test_cantor_zassenhaus_roots_match_listing(coeffs, p, shape, r, start,
                                                length):
-    # shapes: p | content (f = 0 mod p), p | lead (the degree drops mod p),
-    # a repeated root r (times (x - r)**2), and p <= deg when p is small
+    # shapes: p | lead (the degree drops mod p), a repeated root r (times
+    # (x - r)**2), and p <= deg when p is small; the scan passes only
+    # primitive polynomials
     poly = IntPoly(coeffs)
-    if shape == "content":
-        poly = poly.scale(p)
-    elif shape == "lead":
+    if shape == "lead":
         poly = IntPoly(coeffs[:-1] + [coeffs[-1] * p])
     elif shape == "square":
         poly = poly.multiply(IntPoly((r * r, -2 * r, 1)))
+    assume(poly.coeffs)
+    poly = poly.content_split().primitive
     stop = start + length
     primes = sorted({2, 3, 5, p})
     want = listed_roots(poly, start, stop, primes)
