@@ -27,7 +27,7 @@ from .construct import (
     construct_quartic_cubic_linear,
 )
 from .intpoly import IntPoly
-from .numtheory import DEFAULT_FACTOR_BUDGET, decimal_digits
+from .numtheory import DEFAULT_FACTOR_BUDGET
 from .scan import record_json, scan_range
 from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
@@ -180,9 +180,10 @@ def _cmd_verify(args, budget: int) -> int:
             continue
         report = verify(cert, budget=budget)
         if report.accepted:
+            # cert_from_dict reads n as an integral Decimal
             print(
                 f"cert {i}: ACCEPT rule={report.rule} n_digits="
-                f"{decimal_digits(cert.n)} exponent={report.exponent}"
+                f"{cert.n.adjusted() + 1} exponent={report.exponent}"
             )
         elif report.reason == "unverifiable":
             any_unverifiable = True

@@ -251,13 +251,17 @@ def _tau_pairs(denominators, max_numerator) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda p: (abs(p[0]) * p[1], p[0] < 0, abs(p[0])))
 
 
-# every CLI call builds these, so the grids are deduped and sorted as
-# integer pairs and each Fraction is made once; the top grid is a subset
-# of the wide grid, searched first and in its own order
-_WIDE_PAIRS = _tau_pairs((1, 2, 3, 4, 8, 16), 48)
-_TAU = {p: Fraction(*p) for p in _WIDE_PAIRS}
-_TAUS_TOP = tuple(_TAU[p] for p in _tau_pairs((1, 2, 4, 8), 16))
-_TAUS_WIDE = tuple(_TAU.values())
+# every CLI call builds these, so each tau stays a reduced (nu, delta)
+# pair and no Fraction is made; the top grid is a subset of the wide grid,
+# searched first and in its own order
+_TAUS_TOP = tuple(_tau_pairs((1, 2, 4, 8), 16))
+_TAUS_WIDE = tuple(_tau_pairs((1, 2, 3, 4, 8, 16), 48))
+
+
+def _tau_str(tau) -> str:
+    """str(Fraction(nu, delta)) of a reduced pair (nu, delta)."""
+    nu, de = tau
+    return str(nu) if de == 1 else f"{nu}/{de}"
 
 
 def _resolvent(m, a, b):
@@ -305,10 +309,9 @@ _EngineHit = namedtuple("_EngineHit", "tau g f1 f2 content")
 
 
 def _lowered(f: IntPoly):
-    """A, (P2, P1, P0) and (Q2, Q1, Q0) of the screen above."""
+    """A, (P2, P1, P0) and (Q2, Q1, Q0) of the screen above.  Every cubic
+    screened is the shifted input or a primitive part, so A > 0."""
     A = f.coefficient(3)
-    if A <= 0:
-        raise ValueError("need a positive leading coefficient")
     P2, P1, P0 = -f.coefficient(2), -f.coefficient(1), -f.coefficient(0)
     return A, (P2, P1, P0), (P2 * P2 + A * P1, P2 * P1 + A * P0, P2 * P0)
 
@@ -322,7 +325,7 @@ def _tau_rows(f: IntPoly, taus):
     A3 = A2 * A
     rows = []
     for tau in taus:
-        nu, de = tau.numerator, tau.denominator
+        nu, de = tau
         de2 = de * de
         E = -(Q2 * de2 + 2 * nu * de * A * P2 + nu * nu * A2)
         N1 = Q1 * A * de2 * de + 2 * nu * P1 * A2 * de2 + nu * A * E
@@ -359,11 +362,11 @@ def _square_rows(rows, kappa: int):
                 yield row, root
 
 
-def _e_matrix(f: IntPoly, tau: Fraction, E: int):
+def _e_matrix(f: IntPoly, tau, E: int):
     """D M_E with D = 2 A**2 delta**2, M_E the matrix of multiplication by
     theta**2 + tau theta + e0 in Q[theta]/(f)."""
     A, (P2, P1, P0), (Q2, Q1, Q0) = _lowered(f)
-    nu, de = tau.numerator, tau.denominator
+    nu, de = tau
     ad, an = A * de, A * nu
     return (
         (E, 2 * ad * de * P0, 2 * de * (an * P0 + de * Q0)),
@@ -376,7 +379,7 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
     """(g, f1) for each sign of g1 at one screen survivor: g from the least
     scale T, f1 the primitive resolvent, not yet checked to divide f(g)."""
     tau, E, N1 = row[:3]
-    A, de = f.coefficient(3), tau.denominator
+    A, de = f.coefficient(3), tau[1]
     D = 2 * A * A * de * de  # e0 = E / D and r = root / D
     d1_den = A * D * de // 2  # d1 = N1 / d1_den
     den = math.lcm(d1_den // math.gcd(N1, d1_den), D // math.gcd(root, D))
@@ -385,7 +388,7 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
             break
     else:
         # t = 2 * lcm of the denominators always qualifies
-        raise ArithmeticError(f"no integral scale T at tau = {tau}")
+        raise ArithmeticError(f"no integral scale T at tau = {_tau_str(tau)}")
     g2 = t * t * N1 // (4 * d1_den)  # nonzero, as N1 is
     g1_mag = t * root // D
     tm = [[t * v for v in r] for r in _e_matrix(f, tau, E)]
@@ -489,8 +492,6 @@ def _cubic_attempt(shift_y, inst, r, s, max_n_digits):
     vals = [f.evaluate(x) for hit, x in ((inst.r_hit, u), (inst.s_hit, v))
             for f in (hit.f1, hit.f2)]
     content = inst.top.content * inst.r_hit.content * inst.s_hit.content
-    if any(v == 0 for v in vals):
-        return None
     factors = _absorb_content([abs(x) for x in vals], content, n)
     if factors is None or not _distinct_ok(factors, n):
         return None
@@ -578,10 +579,10 @@ def construct_cubic(
                 return *got, {
                     "shift": str(shift_y),
                     "kappa": str(inst.kappa),
-                    "tau_top": str(inst.top.tau),
+                    "tau_top": _tau_str(inst.top.tau),
                     "l": str(inst.l),
-                    "tau_r": str(inst.r_hit.tau),
-                    "tau_s": str(inst.s_hit.tau),
+                    "tau_r": _tau_str(inst.r_hit.tau),
+                    "tau_s": _tau_str(inst.s_hit.tau),
                 }
 
             yield inst.l, inst.pell_d, 1, attempt
@@ -678,25 +679,20 @@ def construct_quartic_biquadratic(
     poly = first.multiply(second)
 
     def cases():
-        sides = ((first, second), (second, first))
-        for l, (u_side, k_side) in itertools.product(range(1, _BIQ_L_MAX + 1), sides):
+        sides = []  # (c1, R, Q, Q1) of each assignment, checked once
+        for u_side, k_side in ((first, second), (second, first)):
             c1 = u_side.coefficient(0)
-            # R(x) = u_side(c1 x)/c1 has constant term 1 and stays integral
-            r_poly = IntPoly(
-                (1, u_side.coefficient(1), u_side.coefficient(2) * c1)
-            )
-            q_poly = IntPoly(
-                (
-                    k_side.coefficient(0),
-                    k_side.coefficient(1) * c1,
-                    k_side.coefficient(2) * c1 * c1,
-                )
-            )
+            # R(x) = u_side(c1 x)/c1 has constant term 1 and stays integral;
+            # Q(x) = k_side(c1 x)
+            r_poly = IntPoly((1, u_side.coefficient(1), u_side.coefficient(2) * c1))
+            q_poly = k_side.compose(IntPoly((0, c1)))
             _require(poly.compose(IntPoly((0, c1)))
                      == r_poly.multiply(q_poly).scale(c1),
                      "P(c1 x) must equal c1 R(x) Q(x)")
+            sides.append((c1, r_poly, q_poly, q_poly.shift(q_poly.coefficient(0))))
+        for l, (c1, r_poly, q_poly, q1_poly) in itertools.product(
+                range(1, _BIQ_L_MAX + 1), sides):
             fq = q_poly.coefficient(0)
-            q1_poly = q_poly.shift(fq)
             # g_k(x) = (x + f) + l f Q(x + f), and h_u(x) = x + v R(x)
             # with v = g_k(0), so that g_k(k) = h_u(u) is the chain at n
             g_k = IntPoly((fq, 1)).add(q1_poly.scale(l * fq))

@@ -202,7 +202,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int, int]:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 used += min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
@@ -211,7 +211,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int, int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 used += 1
                 if used >= budget:
                     break
@@ -442,22 +442,6 @@ _DIGIT_CHUNK = 640
 @functools.lru_cache(maxsize=32)
 def _pow10(k: int) -> int:
     return 10**k
-
-
-def decimal_digits(n) -> int:
-    """len(str(n)) for an int n >= 0, without str(): the upper estimate
-    from the bit length, lowered while n is below the power of ten under
-    it.  For an integral Decimal n >= 0, its digits before the point."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if isinstance(n, Decimal):
-        return n.adjusted() + 1
-    d = decimal_digits_upper(n.bit_length())
-    # not cached: each n needs its own power, and holding it raises the
-    # peak memory of a verify run
-    while d > 1 and n < 10 ** (d - 1):
-        d -= 1
-    return d
 
 
 def int_from_digits(digits: str) -> int:

@@ -86,8 +86,10 @@ at least pi(t_cap) resolves every value.
 Only the first division_budget + 1 primes are ever used, so the sieve
 stops at a bound on the (division_budget + 1)-th prime (_prime_bound)
 when that is below t_cap: a small budget sieves little near 10**18.
-If t_start = floor(start**(j/k)) already reaches that bound, every value
-is unresolved and neither the sieve nor the plan is built.  A sieve bound
+If t_start = floor(start**(j/k)) already reaches that bound, or from
+5393 on exceeds division_budget (ln t_start - 1), so that pi(t_start) >
+division_budget by Dusart's lower bound (_past_budget), every value is
+unresolved and neither the sieve nor the plan is built.  A sieve bound
 above _SIEVE_CAP raises ValueError before anything is allocated.
 
 jobs > 1 deals the windows to worker processes, one contiguous run of
@@ -106,7 +108,6 @@ import os
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, compress, islice, repeat
@@ -175,6 +176,19 @@ def _prime_bound(m: int) -> int:
     if m < 6:
         return 13
     return math.ceil(m * (math.log(m) + math.log(math.log(m)))) + 1
+
+
+def _past_budget(t: int, budget: int) -> bool:
+    """True only if pi(t) > budget, for 0 <= budget < sys.maxsize.  Below
+    5393, t >= _prime_bound(budget + 1) >= p_(budget+1).  From 5393 on,
+    pi(t) >= t / (ln t - 1) (Dusart, thesis, Limoges 1998); the float
+    budget (ln t - 1), with ln t - 1 > 7.5, is within a relative 2**-50,
+    which the factor 1 + 2**-40 covers, and an int and a float compare
+    exactly.  Every t >= _prime_bound(budget + 1) passes (checked for each
+    budget up to 2 * 10**5 and sampled up to sys.maxsize)."""
+    if t < 5393:
+        return t >= _prime_bound(budget + 1)
+    return t > budget * (math.log(t) - 1) * (1 + 2**-40)
 
 
 def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
@@ -446,10 +460,9 @@ def scan_range(
     cut = stop + 1  # the first unresolved n
     # a budget >= sys.maxsize caps at >= sys.maxsize: skip its float math
     if division_budget < min(bound, sys.maxsize):
-        q_bound = _prime_bound(division_budget + 1)
-        if _floor_root(start, j, k) >= q_bound:
+        if _past_budget(_floor_root(start, j, k), division_budget):
             cut = start  # every t_n reaches the next prime: none resolved
-        bound = min(bound, q_bound)
+        bound = min(bound, _prime_bound(division_budget + 1))
     if cut > start and bound > _SIEVE_CAP:
         raise ValueError(f"the sieve bound is above {_SIEVE_CAP}, the "
                          "largest the scan allocates")
@@ -488,12 +501,13 @@ def scan_range(
         elif n >= rise:
             break  # |f| increases from rise on: no vacuous value is left
     records += tail
-    exps = [Decimal(rec.exponent) for rec in records]
+    # an exponent is "0.dddd" or "1.0000" (P+ < n**theta with theta < 1,
+    # or a vacuous 0.0000), so string order is numeric order
     summary = ScanSummary(
         examined=stop - start + 1,
         hits=len(records),
         unresolved=stop + 1 - cut - len(tail),
-        min_exponent=str(min(exps)) if exps else None,
+        min_exponent=min((rec.exponent for rec in records), default=None),
     )
     return records, summary
 

@@ -138,13 +138,14 @@ def test_schinzel_pieces_random_cubics():
 
 
 def fraction_screen(f, kappa, taus):
-    """Reference tau screen in Fraction arithmetic: keep tau when d1 != 0
-    and d0 + 2 kappa d1 is a rational square r**2."""
+    """Reference tau screen in Fraction arithmetic: keep tau = nu/delta,
+    given as (nu, delta), when d1 != 0 and d0 + 2 kappa d1 is a rational
+    square r**2."""
     a, b, c, d = (Fraction(f.coefficient(i)) for i in (3, 2, 1, 0))
     p2, p1, p0 = -b / a, -c / a, -d / a
     q2, q1, q0 = p2 * p2 + p1, p2 * p1 + p0, p2 * p0
     kept = []
-    for tau in taus:
+    for tau in (Fraction(*pair) for pair in taus):
         e0 = -(q2 + 2 * tau * p2 + tau * tau) / 2
         d1 = q1 + 2 * tau * p1 + 2 * tau * e0
         if d1 == 0:
@@ -164,12 +165,11 @@ def rational_screen(f, kappa, taus):
     D = 2 A**2 delta**2."""
     a = f.coefficient(3)
     out = []
-    for (tau, e, n1, _, _), root in construct._square_rows(
+    for ((nu, de), e, n1, _, _), root in construct._square_rows(
             construct._tau_rows(f, taus), kappa):
-        de = tau.denominator
         d = 2 * a * a * de * de
-        out.append((tau, Fraction(e, d), Fraction(n1, a * d * de // 2),
-                    Fraction(root, d)))
+        out.append((Fraction(nu, de), Fraction(e, d),
+                    Fraction(n1, a * d * de // 2), Fraction(root, d)))
     return out
 
 
@@ -201,12 +201,10 @@ def test_one_tau_row_table_serves_every_kappa(coeffs):
     before = list(table)
     for kappa in range(1, 7):
         got = []
-        for (tau, e, n1, _, _), root in construct._square_rows(table, kappa):
-            de = tau.denominator
+        for ((nu, de), e, n1, _, _), root in construct._square_rows(table, kappa):
             d = 2 * a * a * de * de
-            got.append(
-                (tau, Fraction(e, d), Fraction(n1, a**3 * de**3), Fraction(root, d))
-            )
+            got.append((Fraction(nu, de), Fraction(e, d),
+                        Fraction(n1, a**3 * de**3), Fraction(root, d)))
         assert got == fraction_screen(f, kappa, construct._TAUS_WIDE)
     assert table == before
 
@@ -218,7 +216,7 @@ def unpruned_tau_rows(f, taus):
     q2, q1, q0 = b * b - a * c, b * c - a * d, b * d
     rows = []
     for tau in taus:
-        nu, de = tau.numerator, tau.denominator
+        nu, de = tau
         e = -(q2 * de**2 - 2 * nu * de * a * b + nu**2 * a**2)
         n1 = q1 * a * de**3 - 2 * nu * c * a**2 * de**2 + nu * a * e
         if n1:
@@ -409,7 +407,7 @@ def check_split_guesses(f, kappa):
     rows = construct._tau_rows(f, construct._TAUS_WIDE)
     survivors = list(construct._square_rows(rows, kappa))
     screen = rational_screen(f, kappa, construct._TAUS_WIDE)
-    assert [row[0] for row, _ in survivors] == [s[0] for s in screen]
+    assert [Fraction(*row[0]) for row, _ in survivors] == [s[0] for s in screen]
     for (row, root), rational in zip(survivors, screen):
         got = list(construct._split_guesses(f, kappa, row, root))
         assert got == fraction_split_guesses(f, kappa, *rational)
@@ -712,6 +710,67 @@ def test_quartic_biquadratic_reports():
         construct_quartic_biquadratic(IntPoly((3, 1, 2)), IntPoly((1, 4, 1)),
                                       3, max_n_digits=500)
     assert ei.value.report["reason"] == "exhausted 24 (l, assignment) candidates"
+
+
+def test_biquadratic_side_identity_checked_once_per_side(monkeypatch):
+    checked = []
+    require = construct._require
+
+    def spy(ok, what):
+        checked.append(what)
+        require(ok, what)
+
+    monkeypatch.setattr(construct, "_require", spy)
+    side = "P(c1 x) must equal c1 R(x) Q(x)"
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_quartic_biquadratic(IntPoly((1, 1, 1)), IntPoly((2, 0, 1)))
+    assert ei.value.report["reason"] == "exhausted 24 (l, assignment) candidates"
+    assert checked.count(side) == 2
+    checked.clear()
+    construct_quartic_biquadratic(IntPoly((1, 2, 1)), IntPoly((1, 1, 1)), 5)
+    assert checked.count(side) == 2
+
+
+def spy_attempts(monkeypatch):
+    """Whether each _cubic_attempt gave a certificate, in call order."""
+    made = []
+    attempt = construct._cubic_attempt
+
+    def spy(*args):
+        got = attempt(*args)
+        made.append(got is not None)
+        return got
+
+    monkeypatch.setattr(construct, "_cubic_attempt", spy)
+    return made
+
+
+def test_cubic_refused_attempts_then_a_certificate(monkeypatch):
+    # the first 8 Pell pairs of x**3 + x**2 - 2x + 2 give n < 2
+    made = spy_attempts(monkeypatch)
+    certs = construct_cubic(IntPoly((2, -2, 1, 1)))
+    assert made == [False] * 8 + [True]
+    assert len(certs) == 1 and verify(certs[0]).accepted
+
+
+def test_cubic_with_every_attempt_refused(monkeypatch):
+    # every Pell pair of x**3 - x**2 - 2x + 2 gives n < 2
+    made = spy_attempts(monkeypatch)
+    with pytest.raises(ConstructionBudgetError) as ei:
+        construct_cubic(IntPoly((2, -2, -1, 1)))
+    assert made == [False] * 240
+    assert ei.value.partial == []
+    assert ei.value.report == {
+        "class": "cubic",
+        "reason": "exhausted 30 linked instances (kappa<=4, l<=30)",
+    }
+
+
+def test_tau_params_read_as_fractions():
+    # tau_top, tau_r and tau_s are written from the reduced pairs
+    assert set(construct._TAUS_TOP) <= set(construct._TAUS_WIDE)
+    for nu, de in construct._TAUS_WIDE:
+        assert construct._tau_str((nu, de)) == str(Fraction(nu, de))
 
 
 @pytest.mark.parametrize("build", [

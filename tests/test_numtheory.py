@@ -16,7 +16,7 @@ from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import (
     BudgetExceededError,
     FactorizationBudgetError,
-    decimal_digits,
+    decimal_digits_upper,
     decimal_from_int,
     decimal_log_ratio,
     decimal_str,
@@ -323,32 +323,38 @@ def test_decimal_log_ratio_ignores_the_callers_context():
 POWERS = list(range(1, 61)) + [100, 639, 640, 641, 4300, 4301, 12_345, 50_000]
 
 
+def check_digit_counts(n):
+    """The two digit counts of the package at n: verify prints adjusted()
+    + 1 of the Decimal it reads n as, and the one estimator, from the bit
+    length, is at most one above the true count."""
+    exact = decimal_from_int(n).adjusted() + 1
+    assert exact == len(str(abs(n)))
+    assert exact <= decimal_digits_upper(n.bit_length()) <= exact + 1
+
+
 @pytest.mark.parametrize("k", POWERS)
 def test_decimal_digits_at_powers_of_ten(k):
     for n in (10**k - 1, 10**k, 10**k + 1):
-        assert decimal_digits(n) == len(str(n))
+        check_digit_counts(n)
 
 
 def test_decimal_digits_small_and_negative():
-    for n in range(1000):
-        assert decimal_digits(n) == len(str(n))
-    with pytest.raises(ValueError):
-        decimal_digits(-1)
-    with pytest.raises(ValueError):
-        decimal_digits(Decimal(-1))
+    # the sign is no digit
+    for n in range(-999, 1000):
+        check_digit_counts(n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 19, 20, 21, 640, 4301])
 def test_decimal_digits_and_str_of_decimals(k):
     for n in (10**k - 1, 10**k, 10**k + 1):
         d = Decimal(str(n))
-        assert decimal_digits(d) == len(str(n))
+        assert d.adjusted() + 1 == len(str(n))
         assert decimal_str(d) == str(n)
     # integral Decimals written with an exponent or trailing zeros
     for d, text in ((Decimal("1E+3"), "1000"), (Decimal("5.00"), "5"),
                     (Decimal("0"), "0"), (Decimal("-7E+1"), "-70")):
         assert decimal_str(d) == text
-        assert decimal_digits(abs(d)) == len(text.lstrip("-"))
+        assert abs(d).adjusted() + 1 == len(text.lstrip("-"))
 
 
 # lengths around the splits of int_from_digits, which happen at 640 * 2**j

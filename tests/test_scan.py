@@ -486,6 +486,13 @@ def test_scan_skips_the_sieve_for_a_wholly_unresolved_range(monkeypatch):
         got = scan_range(X2P1, 10**16, 10**16 + 10, half)
         assert time.perf_counter() - t0 < 1
         assert got == ([], scan.ScanSummary(11, 0, 11, None))
+        # t_start = 8.7e7 is under that bound but past p_5000001 =
+        # 86 028 157, as 8.7e7 / (ln 8.7e7 - 1) > 5 * 10**6
+        start = 87_000_000**2
+        assert start < scan._prime_bound(5_000_001) ** 2
+        t0 = time.perf_counter()
+        assert scan_range(X2P1, start, start + 10, half) == got
+        assert time.perf_counter() - t0 < 0.1
         # budget 0 under t_start = 13: the vacuous values are still hits
         vacuous = scan_range(IntPoly((-200, 1)), 190, 210, half,
                              division_budget=0)
@@ -501,6 +508,23 @@ def test_scan_skips_the_sieve_for_a_wholly_unresolved_range(monkeypatch):
                       division_budget=0) == vacuous
     assert scan_range(X2P1, 10**4, 10**4 + 10, half,
                       division_budget=24) == sieved
+
+
+def test_past_budget_is_sound_and_finds_what_the_prime_bound_finds():
+    # pi(t) > budget never fails where the test passes: it is monotone in
+    # the budget, so budget = pi(t) is the case to check
+    pi = 0
+    primes = iter(sieve_primes(300_000))
+    p = next(primes)
+    for t in range(2, 300_001):
+        if t == p:
+            pi += 1
+            p = next(primes, None)
+        assert not scan._past_budget(t, pi)
+    # every t from the prime bound on passes, as t / (ln t - 1) increases
+    for budget in range(20_000):
+        t = max(scan._prime_bound(budget + 1), 5393)
+        assert scan._past_budget(t, budget)
 
 
 class SieveAsked(Exception):

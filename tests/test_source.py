@@ -28,7 +28,8 @@ def test_no_assert_in_package():
 
 def test_no_len_of_str_in_package():
     # len(str(n)) is quadratic in the digits of n on Python 3.11; the
-    # package counts digits with numtheory.decimal_digits instead
+    # package estimates digits with numtheory.decimal_digits_upper, and
+    # verify prints adjusted() + 1 of the Decimal n it reads
     found = []
     for path in sorted(pathlib.Path(factoridiv.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -100,16 +101,20 @@ def test_construct_leaves_prime_selection_to_numtheory():
 
 def test_import_hashes_few_fractions():
     # every CLI call pays for the import; the tau grids are deduped and
-    # sorted as integer pairs there, so no Fraction is hashed at all
+    # sorted as integer pairs there and kept as pairs, so no Fraction is
+    # made or hashed at all
     script = (
         "import fractions\n"
         "calls = 0\n"
-        "plain = fractions.Fraction.__hash__\n"
-        "def counted(self):\n"
-        "    global calls\n"
-        "    calls += 1\n"
-        "    return plain(self)\n"
-        "fractions.Fraction.__hash__ = counted\n"
+        "def counted(plain):\n"
+        "    def call(*args, **kwargs):\n"
+        "        global calls\n"
+        "        calls += 1\n"
+        "        return plain(*args, **kwargs)\n"
+        "    return call\n"
+        "for name in ('__new__', '__hash__'):\n"
+        "    method = getattr(fractions.Fraction, name)\n"
+        "    setattr(fractions.Fraction, name, counted(method))\n"
         "import factoridiv.cli\n"
         "print(calls)\n"
     )
