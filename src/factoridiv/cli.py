@@ -210,8 +210,7 @@ def _cmd_scan(args) -> int:
         poly, args.start, args.stop, theta, jobs=args.jobs, **cap
     )
     with _output(args.out) as out:
-        for rec in records:
-            print(record_json(rec), file=out)
+        out.writelines(f"{record_json(rec)}\n" for rec in records)
     print(json.dumps(summary._asdict(), sort_keys=True), file=sys.stderr)
     return EXIT_OK
 

@@ -8,11 +8,25 @@ The scanner is a logarithmic root sieve, as in the quadratic sieve
 (Pomerance 1982; Crandall & Pomerance, Prime Numbers, sections 3.2 and
 6.1).  Write f = c g with c the content.  For each prime p <= t_cap =
 floor(stop**(j/k)) it finds once the residues r with g(r) = 0 (mod p).
-For p up to _CZ_FROM, or a range that short, it reads them off the first
-p values of the range; above, modp.roots_mod splits g mod p by
+
+Roots mod p.  _split writes g = +-h prod(v_i x - u_i) once, over Q: a
+quadratic splits iff its discriminant is a square, and a g of higher
+degree sheds the factors x and, when its lead and g(0) are small, the
+v x - u of its rational roots u/v.  The roots of g mod p are those of its
+factors: reducing the product mod p and evaluating at r are ring maps,
+and Z/p is a field, so g(r) = 0 (mod p) iff some factor vanishes at r.
+A factor v x - u, with gcd(u, v) = 1, has the root u/v mod p, none when
+p | v.  A quadratic h = a x**2 + b x + c with odd p not dividing a has
+roots iff its discriminant D is a square mod p (Euler's criterion), then
+(-b +- sqrt D) / 2a, the square root by Tonelli-Shanks; with p | a it is
+the linear b x + c mod p (p does not divide both, as h is primitive), and
+for p = 2 it is read at 0 and 1.  An h of degree >= 3: for p up to
+_CZ_FROM, or a range that short, its roots are read off the first p
+values of the range; above, modp.roots_mod splits h mod p by
 Cantor-Zassenhaus (Math. Comp. 36, 1981) with the shifts a = 0, 1, 2,
 ..., so root finding costs O(deg**2 log p) per prime, not O(p), and uses
-no randomness.
+no randomness.  The union of the residues, in the order the range meets
+them, is what listing g itself would give.
 
 Prime-power classes.  Each root class is lifted to its classes mod p**e
 while p**e is at most the range length L (_node): a simple root has one
@@ -114,7 +128,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter
 
 from .intpoly import IntPoly
-from .numtheory import _pow_cmp, decimal_log_ratio, sieve_primes
+from .numtheory import _pow_cmp, decimal_log_ratio, divisors, sieve_primes
 
 __all__ = [
     "ScanRecord",
@@ -135,12 +149,20 @@ _WINDOW = 1 << 12
 # the host's load, and at 32-64 windows each 1 of 8
 _POOL_WINDOWS = 160
 
-# the roots mod p of primes up to this are listed from the values of f,
-# above it found by Cantor-Zassenhaus: listing costs min(p, range length)
-# reductions, splitting about log2(p) polynomial squarings per split.  On
-# quadratics to quartics splitting was 0.6-1.0 times as fast as listing
-# near p = 500, 1.0-1.7 times near 1000 and 1.3-2.2 times near 1500
+# the roots mod p of a remainder of degree >= 3 (_split), and the zeros
+# of a singular class's Q (_node), are listed from their values for
+# primes up to this, above it found by Cantor-Zassenhaus: listing costs
+# min(p, range length) reductions, splitting about log2(p) polynomial
+# squarings per split.  On quadratics to quartics splitting was 0.6-1.0
+# times as fast as listing near p = 500, 1.0-1.7 times near 1000 and
+# 1.3-2.2 times near 1500
 _CZ_FROM = 1500
+
+# _split looks for rational roots only when |g(0)| and the lead are below
+# this: it tries the divisors u of g(0) over those v of the lead, and
+# numtheory.divisors trial-divides up to the square root, which took 1 s
+# at 10**14 + 31.  Below 10**6 a value has at most 240 divisors
+_RATIONAL_BELOW = 10**6
 
 # the largest sieve bound: bound + 36 pi(bound) bytes, the bytearray and
 # the prime list, is under 1 GB, and the default budget's bound is 9.1e7
@@ -209,34 +231,154 @@ def _values(poly: IntPoly, lo: int, hi: int) -> list[int]:
     return list(values)
 
 
-def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
-    """(p, residues r with f(r) = 0 mod p) for each of the primes that
-    divides some f(n) with n in [start, stop], the residues in the order
-    the range meets them, that is by (r - start) mod p.  f is primitive, so
-    no prime divides all its coefficients."""
+def _split(g: IntPoly) -> tuple[list[tuple[int, int]], IntPoly]:
+    """(lins, h) with g = +-h prod(v x - u for (u, v) in lins), each u/v in
+    lowest terms with v > 0, for g primitive with a positive lead.  h is
+    primitive (Gauss's lemma) with a positive lead: 1 once g is split into
+    linear factors, else a quadratic with no rational root, or a g of
+    degree >= 3 that the rational-root test skipped or found no root of.
+    Every rational root r of a primitive g gives a primitive factor
+    v x - u of it in Z[x], so the quotient is integral."""
+    lins = []
+    while len(g.coeffs) > 1:
+        cs = g.coeffs
+        if len(cs) == 2:
+            lins.append((-cs[0], cs[1]))
+            return lins, IntPoly((1,))
+        if len(cs) == 3:
+            c, b, a = cs
+            disc = b * b - 4 * a * c
+            s = math.isqrt(disc) if disc >= 0 else -1
+            if s * s != disc:
+                break  # no rational root
+            for u in (s - b, -s - b):
+                d = math.gcd(u, 2 * a)
+                lins.append((u // d, 2 * a // d))
+            return lins, IntPoly((1,))
+        if not cs[0]:
+            lins.append((0, 1))
+            g = IntPoly(cs[1:])
+            continue
+        found = _linear_factor(g)
+        if found is None:
+            break
+        u, v, g = found
+        lins.append((u, v))
+    return lins, g
+
+
+def _linear_factor(g: IntPoly):
+    """(u, v, g / (v x - u)) for a root u/v of g in lowest terms, v > 0,
+    or None: g(0) != 0 and deg g >= 3.  A root has u | g(0) and v | lead;
+    only g with both below _RATIONAL_BELOW is searched."""
+    c, lead = abs(g.coeffs[0]), g.coeffs[-1]
+    if max(c, lead) >= _RATIONAL_BELOW:
+        return None
+    at_one, at_minus_one = g.evaluate(1), g.evaluate(-1)
+    for v in divisors(lead):
+        for d in divisors(c):
+            for u in (d, -d):
+                # v x - u | g gives v - u | g(1) and v + u | g(-1)
+                if (math.gcd(u, v) > 1 or v != u and at_one % (v - u)
+                        or v != -u and at_minus_one % (v + u)):
+                    continue
+                q = g.exact_divide(IntPoly((-u, v)))
+                if q is not None:
+                    return u, v, q
+    return None
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of n mod p, for an odd prime p and a nonzero square n
+    mod p, by Tonelli-Shanks (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.5.1): one power when p = 3 (mod 4)."""
+    if p & 3 == 3:
+        return pow(n, (p + 1) >> 2, p)
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2**e q, q odd
+    q = (p - 1) >> e
+    z = 2
+    while pow(z, p >> 1, p) == 1:  # a non-square
+        z += 1
+    y, r = pow(z, q, p), e
+    x = pow(n, q >> 1, p)
+    b = n * x * x % p
+    x = n * x % p
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            m, t = m + 1, t * t % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
+
+
+def _quadratic_roots(h: tuple[int, int, int], disc: int, p: int) -> list[int]:
+    """The roots mod p of the primitive a x**2 + b x + c, h = (c, b, a),
+    whose discriminant is disc."""
+    c, b, a = h
+    if p == 2:
+        return [r for r in (0, 1) if not (c + r * (b + a)) % 2]
+    if not a % p:  # b x + c, and p does not divide both
+        return [-c * pow(b, -1, p) % p] if b % p else []
+    d = disc % p
+    inv = pow(2 * a, -1, p)
+    if not d:
+        return [-b * inv % p]
+    if pow(d, p >> 1, p) != 1:  # Euler's criterion: no square root
+        return []
+    s = _sqrt_mod(d, p)
+    return [(s - b) * inv % p, (-s - b) * inv % p]
+
+
+def _listed_roots(h: IntPoly, start: int, stop: int, primes: list[int]):
+    """The roots mod p of h, deg h >= 3, for each of the primes in turn:
+    listed from the values of the range for p up to _CZ_FROM, or a range
+    that short, above split by Cantor-Zassenhaus.  A listed p gets the
+    roots the range meets, in the order it meets them, a split p all."""
     size = stop - start + 1
-    # listing reads f at the first min(p, size) values of the range: p
+    # listing reads h at the first min(p, size) values of the range: p
     # consecutive values meet every residue class mod p once, a range
     # shorter than p only the classes of its own values.  Splitting needs
-    # an odd p, so primes p <= deg f (p = 2 among them) are listed too
-    lim = max(_CZ_FROM, len(poly.coeffs) - 1)
+    # an odd p, so primes p <= deg h (p = 2 among them) are listed too
+    lim = max(_CZ_FROM, len(h.coeffs) - 1)
     last = min(stop, start + min(lim, primes[-1]) - 1) if primes else start - 1
-    head = _values(poly, start, last)
+    head = _values(h, start, last)
     if primes and min(size, primes[-1]) > lim:
-        # imported here: a scan that lists every root, like most CLI
-        # calls, would pay for compiling it otherwise
+        # imported here: a scan that lists every root would pay for
+        # compiling it otherwise
         from .modp import roots_mod
-    roots = []
     for p in primes:
         m = min(p, size)
         if m <= lim:
-            residues = [(start + i) % p for i in range(m) if not head[i] % p]
+            yield [(start + i) % p for i in range(m) if not head[i] % p]
         else:
-            f = [c % p for c in poly.coeffs]
-            residues = sorted((r for r in roots_mod(f, p)
-                               if (r - start) % p < size),
-                              key=lambda r: (r - start) % p)
-        if residues:
+            yield roots_mod([c % p for c in h.coeffs], p)
+
+
+def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
+    """(p, residues r with f(r) = 0 mod p) for each of the primes that
+    divides some f(n) with n in [start, stop], the residues in the order
+    the range meets them, that is by (r - start) mod p.  f is primitive
+    with a positive lead, so no prime divides all its coefficients.  Each
+    factor of f (_split) gives its roots mod p on its own (module
+    docstring)."""
+    size = stop - start + 1
+    lins, h = _split(poly)
+    quad = h.coeffs if len(h.coeffs) == 3 else None
+    if quad:
+        c, b, a = quad
+        disc = b * b - 4 * a * c
+    more = (_listed_roots(h, start, stop, primes) if len(h.coeffs) > 3
+            else repeat(()))
+    roots = []
+    for p, found in zip(primes, more):
+        found = {*found, *(u * pow(v, -1, p) % p for u, v in lins if v % p)}
+        if quad:
+            found.update(_quadratic_roots(quad, disc, p))
+        # by (r - start) mod p, of those the range meets
+        keys = sorted({(r - start) % p for r in found})
+        if residues := [(start + i) % p for i in keys if i < size]:
             roots.append((p, residues))
     return roots
 

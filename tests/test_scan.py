@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import time
 from decimal import Decimal
@@ -13,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from factoridiv import scan
+from factoridiv import modp, scan
 from factoridiv.intpoly import IntPoly
 from factoridiv.numtheory import decimal_log_ratio, sieve_primes
 from factoridiv.scan import (
@@ -764,3 +765,131 @@ def test_cantor_zassenhaus_roots_match_listing(coeffs, p, shape, r, start,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "_CZ_FROM", 0)  # split whatever p > deg f
         assert scan._prime_roots(poly, start, stop, primes) == want
+
+
+PRIMES_200 = sieve_primes(200)
+
+
+def test_sqrt_mod_finds_every_square_root():
+    # Tonelli-Shanks for p = 1 (mod 4), among them 17, 41, 73, 97, 113,
+    # 137 and 193 = 1 (mod 8), and one power for p = 3 (mod 4)
+    for p in PRIMES_200[1:]:
+        for n in {x * x % p for x in range(1, p)}:
+            assert scan._sqrt_mod(n, p) ** 2 % p == n
+
+
+def linear(u, v):
+    return IntPoly((-u, v))  # v x - u
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lins=st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)),
+                  max_size=3),
+    quad=st.none() | st.tuples(st.integers(-60, 60), st.integers(-60, 60),
+                               st.integers(1, 30)),
+    twice=st.booleans(),
+    p=st.sampled_from(PRIMES_200),
+    lead_p=st.booleans(),
+)
+@example(lins=[], quad=(2, 1, 1), twice=False, p=7, lead_p=False)  # p | D
+@example(lins=[], quad=(1, 0, 1), twice=False, p=2, lead_p=False)
+@example(lins=[(1, 2)], quad=(2, 0, 1), twice=False, p=2, lead_p=True)
+@example(lins=[(3, 5), (-1, 1)], quad=None, twice=True, p=5, lead_p=False)
+@example(lins=[], quad=(5, 3, 7), twice=False, p=7, lead_p=False)  # p | a
+@example(lins=[], quad=(1, 2, 1), twice=False, p=3, lead_p=False)  # (x+1)**2
+@example(lins=[(1, 1)], quad=(3, 0, 1), twice=False, p=193, lead_p=False)
+def test_closed_form_roots_match_brute_force(lins, quad, twice, p, lead_p):
+    # products of non-monic linear factors v x - u and a quadratic, with a
+    # repeated factor (twice), p | lead (lead_p scales the quadratic's lead
+    # by p, or the first linear factor's v), p | D and p = 2
+    g = IntPoly((1,))
+    for u, v in lins:
+        g = g.multiply(linear(u, v))
+    if quad:
+        c, b, a = quad
+        g = g.multiply(IntPoly((c, b, a * p if lead_p else a)))
+    elif lead_p and lins:
+        g = g.multiply(linear(lins[0][0], lins[0][1] * p))
+    if twice and lins:
+        g = g.multiply(linear(*lins[0]))
+    assume(len(g.coeffs) > 1 and any(g.coeffs))
+    g = g.content_split().primitive
+    # the split: g = +-h prod(v x - u), in lowest terms, h not linear
+    parts, h = scan._split(g)
+    back = h
+    for u, v in parts:
+        assert v > 0 and math.gcd(u, v) == 1
+        back = back.multiply(linear(u, v))
+    assert back in (g, g.scale(-1))
+    assert len(h.coeffs) != 2
+    # every residue class once: the roots mod p of g by brute force
+    want = [r for r in range(p) if not g.evaluate(r) % p]
+    assert scan._prime_roots(g, 0, p - 1, [p]) == ([(p, want)] if want else [])
+    reduced = [c % p for c in g.coeffs]
+    if p > 2 and any(reduced):
+        assert sorted(modp.roots_mod(reduced, p)) == want
+
+
+@pytest.mark.parametrize("coeffs, listed", [
+    ((-1, 0, 0, 0, 1), False), ((1, 0, 1), False), ((-6, 0, 1), False),
+    ((-7, 0, 1), False), ((-5, 0, 1), False), ((-4, 0, 1), False),
+    ((1, 1, 0, 1), True),
+])
+def test_linear_and_quadratic_factors_are_neither_listed_nor_split(
+        coeffs, listed, monkeypatch):
+    # x**4 - 1 = (x - 1)(x + 1)(x**2 + 1) and x**2 + c take their roots in
+    # closed form at every prime, above _CZ_FROM (t_cap = 1682) as below;
+    # the irreducible cubic x**3 + x + 1 is still listed
+    poly = IntPoly(coeffs)
+    want = scan_range(poly, 2, 20_000, Fraction(3, 4))
+
+    def refuse(*args):
+        raise AssertionError("roots listed or split")
+
+    monkeypatch.setattr(scan, "_listed_roots", refuse)
+    monkeypatch.setattr(modp, "roots_mod", refuse)
+    if listed:
+        with pytest.raises(AssertionError, match="listed or split"):
+            scan_range(poly, 2, 20_000, Fraction(3, 4))
+    else:
+        assert scan_range(poly, 2, 20_000, Fraction(3, 4)) == want
+
+
+HUGE = 10**40 + 1
+# (coeffs, hits, min_exponent, sha256 of the records), recorded before
+# closed-form roots: x**2 + HUGE, and the cubics (x - 3)(x**2 + HUGE) and
+# x**3 + x + HUGE, whose 40-digit constants are past the rational-root
+# test's bound, so they are listed and split as before
+HUGE_CASES = [
+    ((HUGE, 0, 1), 0, None,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((-3 * HUGE, HUGE, -3, 1), 1, "0.0000",
+     "99b87c285036acb50f2e45c3d335c5db25b41f398844911a1c5ad2100505da5d"),
+    ((HUGE, 1, 0, 1), 0, None,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("coeffs, hits, least, sha", HUGE_CASES,
+                         ids=["quadratic", "reducible-cubic", "cubic"])
+def test_huge_coefficients_scan_in_bounded_time(coeffs, hits, least, sha,
+                                                monkeypatch):
+    # numtheory.divisors trial-divides to the square root: a 40-digit
+    # argument would never return
+    real = scan.divisors
+
+    def bounded(n):
+        assert n < scan._RATIONAL_BELOW
+        return real(n)
+
+    monkeypatch.setattr(scan, "divisors", bounded)
+    poly = IntPoly(coeffs)
+    t0 = time.perf_counter()
+    records, summary = scan_range(poly, 2, 20_000, Fraction(3, 4))
+    assert time.perf_counter() - t0 < 1
+    assert summary == (19_999, hits, 0, least)
+    assert digest(records) == sha
+    primes = sieve_primes(1_682)
+    assert scan._prime_roots(poly, 2, 20_000, primes) == listed_roots(
+        poly, 2, 20_000, primes)
