@@ -313,15 +313,14 @@ def _sqrt_mod(n: int, p: int) -> int:
     return x
 
 
-def _quadratic_roots(h: tuple[int, int, int], disc: int, p: int) -> list[int]:
-    """The roots mod p of the primitive a x**2 + b x + c, h = (c, b, a),
-    whose discriminant is disc."""
+def _quadratic_roots(h: tuple[int, int, int], p: int) -> list[int]:
+    """The roots mod p of the primitive a x**2 + b x + c, h = (c, b, a)."""
     c, b, a = h
     if p == 2:
         return [r for r in (0, 1) if not (c + r * (b + a)) % 2]
     if not a % p:  # b x + c, and p does not divide both
         return [-c * pow(b, -1, p) % p] if b % p else []
-    d = disc % p
+    d = (b * b - 4 * a * c) % p
     inv = pow(2 * a, -1, p)
     if not d:
         return [-b * inv % p]
@@ -366,16 +365,13 @@ def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     size = stop - start + 1
     lins, h = _split(poly)
     quad = h.coeffs if len(h.coeffs) == 3 else None
-    if quad:
-        c, b, a = quad
-        disc = b * b - 4 * a * c
     more = (_listed_roots(h, start, stop, primes) if len(h.coeffs) > 3
             else repeat(()))
     roots = []
     for p, found in zip(primes, more):
         found = {*found, *(u * pow(v, -1, p) % p for u, v in lins if v % p)}
         if quad:
-            found.update(_quadratic_roots(quad, disc, p))
+            found.update(_quadratic_roots(quad, p))
         # by (r - start) mod p, of those the range meets
         keys = sorted({(r - start) % p for r in found})
         if residues := [(start + i) % p for i in keys if i < size]:
