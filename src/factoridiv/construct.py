@@ -105,6 +105,7 @@ _PER_KAPPA = 6  # level-1 splits kept per kappa
 _L_MAX = 30  # level-2 constants 2l of the cubic pipeline
 _BIQ_L_MAX = 12  # chain parameters l of the biquadratic family
 _MODULUS_CAP = 5000  # largest biquadratic cofactor modulus c_q c_r
+_LINEAR_P_CAP = 100_000  # largest cubic-linear prime p = e Q(2l) + f
 _CUBIC_TRIES = 8  # Pell indices tried per cubic instance
 _QUARTIC_TRIES = 3  # Pell indices tried per quartic candidate
 _PELL_DIGIT_BUDGET = DEFAULT_DIGIT_BUDGET  # larger solutions are skipped
@@ -398,21 +399,16 @@ def _split_guesses(f: IntPoly, kappa: int, row, root: int):
         yield IntPoly((2 * kappa, g1, g2)), f1
 
 
-def _split(f: IntPoly, g: IntPoly, f1: IntPoly):
-    """(content, f2) with f(g(x)) = content * f1(x) * f2(x) and f2 a
-    primitive cubic, as a ContentSplit, or None when there is none.  f(g)
-    has degree 6 (g2 != 0), so an exact quotient by the cubic f1 is a cubic."""
-    quot = f.compose(g).exact_divide(f1)
-    return None if quot is None else quot.content_split()
-
-
 def _schinzel_candidates(f: IntPoly, kappa: int, rows):
     """Yield verified splits of f(g(x)) in deterministic grid order, from
-    rows = _tau_rows(f, taus)."""
+    rows = _tau_rows(f, taus): f(g(x)) = content * f1(x) * f2(x) with f2 a
+    primitive cubic.  f(g) has degree 6 (g2 != 0), so an exact quotient by
+    the cubic f1 is a cubic."""
     for row, root in _square_rows(rows, kappa):
         for g, f1 in _split_guesses(f, kappa, row, root):
-            got = _split(f, g, f1)
-            if got is not None:
+            quot = f.compose(g).exact_divide(f1)
+            if quot is not None:
+                got = quot.content_split()
                 yield _EngineHit(row[0], g, f1, got.primitive, got.content)
 
 
@@ -617,7 +613,7 @@ def construct_quartic_cubic_linear(
             p_val = e * inst.top.g.evaluate(2 * inst.l) + f_eff
             # the cap picks which instances are tried; the index filter
             # itself works for any p
-            if p_val < 2 or p_val > 100_000:
+            if p_val < 2 or p_val > _LINEAR_P_CAP:
                 yield None
                 continue
 

@@ -1,8 +1,8 @@
 """Roots of integer polynomials modulo a prime, by Cantor-Zassenhaus.
 
 Polynomials are coefficient lists over Z/p, from the constant term up as
-in IntPoly.  The scanner loads this module only for primes above its
-listing crossover.
+in IntPoly.  The scanner loads this module only for zeros of degree 3 or
+more that it does not list.
 """
 
 from __future__ import annotations

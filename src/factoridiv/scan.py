@@ -16,26 +16,29 @@ v x - u of its rational roots u/v.  The roots of g mod p are those of its
 factors: reducing the product mod p and evaluating at r are ring maps,
 and Z/p is a field, so g(r) = 0 (mod p) iff some factor vanishes at r.
 A factor v x - u, with gcd(u, v) = 1, has the root u/v mod p, none when
-p | v.  A quadratic h = a x**2 + b x + c with odd p not dividing a has
-roots iff its discriminant D is a square mod p (Euler's criterion), then
-(-b +- sqrt D) / 2a, the square root by Tonelli-Shanks; with p | a it is
-the linear b x + c mod p (p does not divide both, as h is primitive), and
-for p = 2 it is read at 0 and 1.  An h of degree >= 3: for p up to
-_CZ_FROM, or a range that short, its roots are read off the first p
-values of the range; above, modp.roots_mod splits h mod p by
-Cantor-Zassenhaus (Math. Comp. 36, 1981) with the shifts a = 0, 1, 2,
-..., so root finding costs O(deg**2 log p) per prime, not O(p), and uses
-no randomness.  The union of the residues, in the order the range meets
-them, is what listing g itself would give.
+p | v.  An h of degree >= 3 has its roots read off the first min(p, L)
+values of the range, L its length, while that is at most _CZ_FROM.  Any
+other h, reduced mod p (not all zero, as h is primitive), goes to _zeros,
+as does the Q of a prime-power class (below).  _zeros reads a polynomial
+at 0 and 1 for p = 2.  For odd p it strips the top zeros, which p | lead
+leaves: a linear b x + c has the zero -c/b, and a quadratic a x**2 + b x
++ c has zeros iff its discriminant D is a square mod p (Euler's
+criterion), then (-b +- sqrt D) / 2a, the square root by Tonelli-Shanks.
+From degree 3 on, modp.roots_mod splits it by Cantor-Zassenhaus (Math.
+Comp. 36, 1981) with the shifts a = 0, 1, 2, ..., so root finding costs
+O(deg**2 log p) per prime, not O(p), and uses no randomness.  The union
+of the residues, in the order the range meets them, is what listing g
+itself would give.
 
 Prime-power classes.  Each root class is lifted to its classes mod p**e
 while p**e is at most the range length L (_node): a simple root has one
 Hensel lift, and a root with p | g'(r) has those of its p children on
-which the valuation grows.  Each class carries the weight w by which it
-raises the least valuation of its parent, so that along the classes of n
-the weights add up to v_p(g(n)).  A class mod p**e > L meets the range
-at most once; its n is found and its remaining exponent taken by exact
-division, once per scan.  Every value also gets v_p(c).
+which the valuation grows, the zeros (_zeros) of a polynomial Q mod p of
+degree at most the root's multiplicity.  Each class carries the weight w
+by which it raises the least valuation of its parent, so that along the
+classes of n the weights add up to v_p(g(n)).  A class mod p**e > L
+meets the range at most once; its n is found and its remaining exponent
+taken by exact division, once per scan.  Every value also gets v_p(c).
 
 Byte sums.  A unit is b/a bits, the finest that keeps every bound below
 within a byte (a/b is set from a bound on |f(n)| over the range).  Each
@@ -149,13 +152,13 @@ _WINDOW = 1 << 12
 # the host's load, and at 32-64 windows each 1 of 8
 _POOL_WINDOWS = 160
 
-# the roots mod p of a remainder of degree >= 3 (_split), and the zeros
-# of a singular class's Q (_node), are listed from their values for
-# primes up to this, above it found by Cantor-Zassenhaus: listing costs
-# min(p, range length) reductions, splitting about log2(p) polynomial
-# squarings per split.  On quadratics to quartics splitting was 0.6-1.0
-# times as fast as listing near p = 500, 1.0-1.7 times near 1000 and
-# 1.3-2.2 times near 1500
+# the roots mod p of a remainder of degree >= 3 (_split) are listed from
+# the values of the range while min(p, range length) is at most this,
+# above it found by Cantor-Zassenhaus (_zeros): listing costs min(p, range
+# length) reductions, splitting about log2(p) polynomial squarings per
+# split.  On quadratics to quartics splitting was 0.6-1.0 times as fast
+# as listing near p = 500, 1.0-1.7 times near 1000 and 1.3-2.2 times near
+# 1500
 _CZ_FROM = 1500
 
 # _split looks for rational roots only when |g(0)| and the lead are below
@@ -313,13 +316,23 @@ def _sqrt_mod(n: int, p: int) -> int:
     return x
 
 
-def _quadratic_roots(h: tuple[int, int, int], p: int) -> list[int]:
-    """The roots mod p of the primitive a x**2 + b x + c, h = (c, b, a)."""
-    c, b, a = h
+def _zeros(q: list[int], p: int) -> list[int]:
+    """The distinct zeros mod p of q, a coefficient list reduced mod p and
+    not all zero, whose top zeros it strips in place: read at 0 and 1 for
+    p = 2, in closed form up to degree 2, and split by Cantor-Zassenhaus
+    (modp.roots_mod) from degree 3 on."""
     if p == 2:
-        return [r for r in (0, 1) if not (c + r * (b + a)) % 2]
-    if not a % p:  # b x + c, and p does not divide both
-        return [-c * pow(b, -1, p) % p] if b % p else []
+        return [r for r, v in ((0, q[0]), (1, sum(q))) if not v % 2]
+    while not q[-1]:
+        q.pop()
+    if len(q) > 3:
+        # imported here: a scan with no zeros of degree >= 3 to find would
+        # pay for compiling it otherwise
+        from .modp import roots_mod
+        return roots_mod(q, p)
+    if len(q) < 3:
+        return [-q[0] * pow(q[1], -1, p) % p] if len(q) == 2 else []
+    c, b, a = q
     d = (b * b - 4 * a * c) % p
     inv = pow(2 * a, -1, p)
     if not d:
@@ -328,31 +341,6 @@ def _quadratic_roots(h: tuple[int, int, int], p: int) -> list[int]:
         return []
     s = _sqrt_mod(d, p)
     return [(s - b) * inv % p, (-s - b) * inv % p]
-
-
-def _listed_roots(h: IntPoly, start: int, stop: int, primes: list[int]):
-    """The roots mod p of h, deg h >= 3, for each of the primes in turn:
-    listed from the values of the range for p up to _CZ_FROM, or a range
-    that short, above split by Cantor-Zassenhaus.  A listed p gets the
-    roots the range meets, in the order it meets them, a split p all."""
-    size = stop - start + 1
-    # listing reads h at the first min(p, size) values of the range: p
-    # consecutive values meet every residue class mod p once, a range
-    # shorter than p only the classes of its own values.  Splitting needs
-    # an odd p, so primes p <= deg h (p = 2 among them) are listed too
-    lim = max(_CZ_FROM, len(h.coeffs) - 1)
-    last = min(stop, start + min(lim, primes[-1]) - 1) if primes else start - 1
-    head = _values(h, start, last)
-    if primes and min(size, primes[-1]) > lim:
-        # imported here: a scan that lists every root would pay for
-        # compiling it otherwise
-        from .modp import roots_mod
-    for p in primes:
-        m = min(p, size)
-        if m <= lim:
-            yield [(start + i) % p for i in range(m) if not head[i] % p]
-        else:
-            yield roots_mod([c % p for c in h.coeffs], p)
 
 
 def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
@@ -364,14 +352,19 @@ def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     docstring)."""
     size = stop - start + 1
     lins, h = _split(poly)
-    quad = h.coeffs if len(h.coeffs) == 3 else None
-    more = (_listed_roots(h, start, stop, primes) if len(h.coeffs) > 3
-            else repeat(()))
+    # a remainder of degree >= 3 is read at the first min(p, size) values
+    # of the range while that is at most _CZ_FROM: p consecutive values
+    # meet every residue class mod p once, a range shorter than p only the
+    # classes of its own values
+    head = (_values(h, start, start + min(size, _CZ_FROM, primes[-1]) - 1)
+            if len(h.coeffs) > 3 and primes else None)
     roots = []
-    for p, found in zip(primes, more):
-        found = {*found, *(u * pow(v, -1, p) % p for u, v in lins if v % p)}
-        if quad:
-            found.update(_quadratic_roots(quad, p))
+    for p in primes:
+        found = {u * pow(v, -1, p) % p for u, v in lins if v % p}
+        if head and (m := min(p, size)) <= _CZ_FROM:
+            found.update((start + i) % p for i in range(m) if not head[i] % p)
+        elif len(h.coeffs) > 1:  # h = 1 once g splits into linear factors
+            found.update(_zeros([c % p for c in h.coeffs], p))
         # by (r - start) mod p, of those the range meets
         keys = sorted({(r - start) % p for r in found})
         if residues := [(start + i) % p for i in keys if i < size]:
@@ -404,22 +397,21 @@ def _node(g: IntPoly, dg: IntPoly, p: int, e: int, r: int):
     Q(h) = sum (c_i / p**mu) h**i mod p gives ts as its zeros:
     g(r + p**e (t + p h)) / p**mu = Q(t) + p * (an integer).  A root with
     p not dividing g'(r) has mu = e and one zero, its Hensel lift: c_1 =
-    g'(r) p**e, and c_i for i >= 2 holds p**(2e).  Otherwise the zeros of Q
-    are listed from its values or split like the roots of g, so that a g
-    with a repeated factor, all of whose roots take this path, pays no
-    O(p) per root above _CZ_FROM."""
+    g'(r) p**e, and c_i for i >= 2 holds p**(2e).  Otherwise Q has degree
+    at most the multiplicity k of r as a root of g mod p: c_i = g_i p**(e i)
+    with g_i the i-th Taylor coefficient of g at r, which mod p is that of
+    g mod p, so c_k has valuation exactly e k, and c_i for i > k holds
+    p**(e i), more than p**(e k) >= p**mu.  So Q is at most quadratic at a
+    double root, which is what a squared factor has at every prime but the
+    few where its roots meet another factor's, and _zeros splits Q only at
+    a root of multiplicity 3 or more."""
     m = p**e
     d = dg.evaluate(r)
     if d % p:
         return e, [-(g.evaluate(r) // m) * pow(d, -1, p) % p]
     cs = g.compose(IntPoly((r, m))).coeffs
     mu = min(_valuation(c, p) for c in cs if c)
-    q = [c // p**mu % p for c in cs]
-    if p > max(_CZ_FROM, len(q) - 1):
-        from .modp import roots_mod
-        return mu, roots_mod(q, p)
-    return mu, [t for t, v in enumerate(_values(IntPoly(q), 0, p - 1))
-                if not v % p]
+    return mu, _zeros([c // p**mu % p for c in cs], p)
 
 
 # The windows' shared part: the scale a/b of the byte sums, rise (see

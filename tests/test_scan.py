@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -379,28 +380,10 @@ def valuation(x, p):
     return e
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any),
-    s=st.integers(-50, 50),
-    p=st.sampled_from([2, 3, 5, 7, 1_999]),
-    e=st.integers(1, 3),
-    split=st.booleans(),
-)
-@example(coeffs=[1], s=0, p=1_999, e=1, split=False)  # x**2
-def test_singular_class_matches_valuations(coeffs, s, p, e, split):
-    # g = h (x - s)**2, so p | g'(s) and the class of s mod p**e takes the
-    # general path: every n in it has v_p(g(n)) >= mu, exactly mu unless
-    # n = r + t p**e (mod p**(e+1)) with t listed, and more if t is.  With
-    # split (and always for p = 1999) the zeros of Q come from
-    # Cantor-Zassenhaus, else from its values
-    g = IntPoly(coeffs).multiply(IntPoly((s * s, -2 * s, 1)))
+def assert_node_matches_valuations(g, p, e, r):
     dg = IntPoly(i * c for i, c in enumerate(g.coeffs) if i)
     m = p**e
-    with pytest.MonkeyPatch.context() as mp:
-        if split:
-            mp.setattr(scan, "_CZ_FROM", 0)
-        mu, ts = scan._node(g, dg, p, e, r := s % m)
+    mu, ts = scan._node(g, dg, p, e, r)
     assert len(set(ts)) == len(ts)
     for t in range(p):
         values = [g.evaluate(r + (t + u * p) * m) for u in range(3)]
@@ -409,6 +392,31 @@ def test_singular_class_matches_valuations(coeffs, s, p, e, split):
             assert min(vals, default=mu + 1) > mu
         else:
             assert vals == {mu}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any),
+    s=st.integers(-50, 50),
+    p=st.sampled_from([2, 3, 5, 7, 1_999]),
+    e=st.integers(1, 3),
+)
+@example(coeffs=[1], s=0, p=1_999, e=1)  # x**2: Q = h**2, closed form
+@example(coeffs=[-5, 1], s=5, p=1_999, e=1)  # (x - 5)**3: Q = h**3, split
+def test_singular_class_matches_valuations(coeffs, s, p, e):
+    # g = h (x - s)**2, so p | g'(s) and the class of s mod p**e takes the
+    # general path: every n in it has v_p(g(n)) >= mu, exactly mu unless
+    # n = r + t p**e (mod p**(e+1)) with t a zero of Q, and more if t is
+    g = IntPoly(coeffs).multiply(IntPoly((s * s, -2 * s, 1)))
+    assert_node_matches_valuations(g, p, e, s % p**e)
+
+
+def test_node_at_two_reads_zeros_at_zero_and_one():
+    # x**4 - 1 = (x + 1)**4 mod 2, so the classes of 1 are singular
+    x4m1 = IntPoly((-1, 0, 0, 0, 1))
+    for e in (1, 2, 3):
+        for r in range(1, 2**e, 2):
+            assert_node_matches_valuations(x4m1, 2, e, r)
 
 
 def test_scan_quartic_across_windows(monkeypatch):
@@ -842,18 +850,67 @@ def test_linear_and_quadratic_factors_are_neither_listed_nor_split(
     # closed form at every prime, above _CZ_FROM (t_cap = 1682) as below;
     # the irreducible cubic x**3 + x + 1 is still listed
     poly = IntPoly(coeffs)
-    want = scan_range(poly, 2, 20_000, Fraction(3, 4))
+    primes = sieve_primes(1_682)
+    want = []
+    for p in primes:  # 19 999 values meet every residue mod p
+        roots = [r for r in range(p) if not poly.evaluate(r) % p]
+        if roots:
+            want.append((p, sorted(roots, key=lambda r: (r - 2) % p)))
 
     def refuse(*args):
         raise AssertionError("roots listed or split")
 
-    monkeypatch.setattr(scan, "_listed_roots", refuse)
+    monkeypatch.setattr(scan, "_values", refuse)
     monkeypatch.setattr(modp, "roots_mod", refuse)
     if listed:
         with pytest.raises(AssertionError, match="listed or split"):
-            scan_range(poly, 2, 20_000, Fraction(3, 4))
+            scan._prime_roots(poly, 2, 20_000, primes)
     else:
-        assert scan_range(poly, 2, 20_000, Fraction(3, 4)) == want
+        assert scan._prime_roots(poly, 2, 20_000, primes) == want
+
+
+PRIMES_50 = sieve_primes(50)
+
+
+def test_zeros_match_brute_force():
+    # every p < 50, degrees 0-6 (p <= degree among them), with zero top
+    # coefficients, random q and products of linear factors, whose repeated
+    # roots must come out once
+    rng = random.Random(29)
+    for p in PRIMES_50:
+        for deg in range(7):
+            for _ in range(12):
+                q = [rng.randrange(p) for _ in range(deg)] + [
+                    rng.randrange(1, p)]
+                if rng.random() < 0.5:
+                    q = [rng.randrange(1, p)]
+                    for _ in range(deg):
+                        q = [(x - rng.randrange(p) * y) % p
+                             for x, y in zip([0, *q], [*q, 0])]
+                want = [r for r in range(p)
+                        if not sum(c * r**i for i, c in enumerate(q)) % p]
+                got = scan._zeros(q + [0] * rng.randrange(3), p)
+                assert sorted(got) == want and len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2, 1), (1, 4, 5, 4, 4)],
+                         ids=["(x+1)^2", "(2x+1)^2(x^2+1)"])
+def test_squared_factors_take_zeros_in_closed_form(coeffs, monkeypatch):
+    # a squared factor's roots are double at every prime but where they
+    # meet another factor's, and the Q of a double root is at most
+    # quadratic: only p = 5, where 2x + 1 and x**2 + 1 share the root 2, a
+    # triple root, splits a cubic Q
+    poly = IntPoly(coeffs)
+    want = scan_range(poly, 10**10, 10**10 + 2_000, Fraction(1, 2))
+    split = set()
+
+    def spy(q, p):
+        split.add(p)
+        return sorted(r for r in range(p) if not IntPoly(q).evaluate(r) % p)
+
+    monkeypatch.setattr(modp, "roots_mod", spy)
+    assert scan_range(poly, 10**10, 10**10 + 2_000, Fraction(1, 2)) == want
+    assert split == (set() if coeffs == (1, 2, 1) else {5})
 
 
 HUGE = 10**40 + 1
