@@ -8,12 +8,13 @@ still written), 3 certificate unverifiable within the factoring budget,
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .certificate import MAX_DIGITS, cert_from_dict, cert_to_dict, read_entries
 from .construct import (
@@ -41,14 +42,6 @@ EXIT_USAGE = 64
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage, which collides with the budget
-    # exit code; remap to 64 (the BSD EX_USAGE convention)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _output(path: str | None):
@@ -229,56 +222,189 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="factoridiv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_HELP = {"-h": None, "--help": None}
 
-    con = sub.add_parser("construct", help="build witness certificates")
-    con.add_argument(
-        "--class",
-        dest="family",
-        required=True,
-        choices=list(FAMILIES),
-    )
-    con.add_argument("--poly", action="append",
-                     help="comma separated coefficients, ascending")
-    con.add_argument("--m", type=int, help="order for binomial/cyclotomic")
-    con.add_argument("--ms", help="comma separated Chebyshev orders")
-    con.add_argument("--s", help="comma separated base values")
-    con.add_argument("--count", type=int)
-    con.add_argument("--ratio", help="Mertens oversampling ratio, e.g. 9/8")
-    con.add_argument("--out", help="output file (default stdout)")
+# command -> (its help, its arguments); an argument is a flag (--name) or a
+# positional (name), in usage order, and maps to (dest, kind, default,
+# help): kind is int, str, a tuple of the strings allowed, or list for a
+# flag that may repeat, each value appended
+COMMANDS = {
+    "construct": ("build witness certificates", {
+        "--class": ("family", tuple(FAMILIES), _REQUIRED,
+                    f"one of {', '.join(FAMILIES)}"),
+        "--poly": ("poly", list, None,
+                   "comma separated coefficients, ascending"),
+        "--m": ("m", int, None, "order for binomial/cyclotomic"),
+        "--ms": ("ms", str, None, "comma separated Chebyshev orders"),
+        "--s": ("s", str, None, "comma separated base values"),
+        "--count": ("count", int, None, "certificates to build (default 1)"),
+        "--ratio": ("ratio", str, None,
+                    "Mertens oversampling ratio, e.g. 9/8"),
+        "--out": ("out", str, None, "output file (default stdout)"),
+    }),
+    "verify": ("verify a certificate file", {
+        "file": ("file", str, _REQUIRED, "a JSON array of certificates"),
+        "--budget": ("budget", int, None, "factoring budget (default "
+                     "FACTORIDIV_BUDGET, else the library's)"),
+    }),
+    "scan": ("scan for smooth polynomial values", {
+        "--poly": ("poly", str, _REQUIRED,
+                   "comma separated coefficients, ascending"),
+        "--from": ("start", int, _REQUIRED, "first n"),
+        "--to": ("stop", int, _REQUIRED, "last n"),
+        "--theta": ("theta", str, _REQUIRED, "exponent as j/k"),
+        "--jobs": ("jobs", int, 1, "worker processes that sieve runs of "
+                   "4096-value windows; at most the CPU count and one per "
+                   "160 windows, so a range under 320 windows runs "
+                   "in-process"),
+        "--budget": ("budget", int, None, "cap on the sieve primes per "
+                     "value; values that need more are counted unresolved "
+                     "(default: 5000000)"),
+        "--out": ("out", str, None, "output file (default stdout)"),
+    }),
+    "table": ("print polynomial tables", {
+        "kind": ("kind", ("phi", "psi", "chebyshev"), _REQUIRED, "the table"),
+        "--max": ("max", int, _REQUIRED, "last index"),
+    }),
+}
 
-    ver = sub.add_parser("verify", help="verify a certificate file")
-    ver.add_argument("file")
-    ver.add_argument("--budget", type=int, default=None)
 
-    sca = sub.add_parser("scan", help="scan for smooth polynomial values")
-    sca.add_argument("--poly", required=True)
-    sca.add_argument("--from", dest="start", type=int, required=True)
-    sca.add_argument("--to", dest="stop", type=int, required=True)
-    sca.add_argument("--theta", required=True, help="exponent as j/k")
-    sca.add_argument("--jobs", type=int, default=1,
-                     help="worker processes that sieve runs of 4096-value "
-                     "windows; at most the CPU count and one per 160 windows, "
-                     "so a range under 320 windows runs in-process")
-    sca.add_argument("--budget", type=int, default=None,
-                     help="cap on the sieve primes per value; values that "
-                     "need more are counted unresolved (default: 5000000)")
-    sca.add_argument("--out", help="output file (default stdout)")
+def _metavar(name: str, dest: str, kind) -> str:
+    if name[0] == "-":
+        return f"{name} {dest.upper()}"
+    return "{" + ",".join(kind) + "}" if type(kind) is tuple else dest.upper()
 
-    tab = sub.add_parser("table", help="print polynomial tables")
-    tab.add_argument("kind", choices=["phi", "psi", "chebyshev"])
-    tab.add_argument("--max", type=int, required=True)
 
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: factoridiv [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [
+        _metavar(name, dest, kind) if default is _REQUIRED
+        else f"[{_metavar(name, dest, kind)}]"
+        for name, (dest, kind, default, _) in COMMANDS[command][1].items()
+    ]
+    return f"usage: factoridiv {command} [-h] {' '.join(words)}"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        head, rows = __doc__, [(c, h) for c, (h, _) in COMMANDS.items()]
+    else:
+        head, args = COMMANDS[command]
+        rows = [(_metavar(n, d, k), h) for n, (d, k, _, h) in args.items()]
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    width = max(len(row[0]) for row in rows)
+    lines = [f"  {name:<{width}}  {text}" for name, text in rows]
+    return "\n".join([_usage(command), "", head.strip(), "", *lines])
+
+
+def _option(tok: str, spec) -> tuple[str | None, str | None]:
+    """(flag, the value after its '=' or None) for a token that names a
+    flag of spec in full or by a unique prefix, ("", None) for another
+    token that reads as a flag, and (None, None) for a value: as in
+    argparse, a token that is -, -N or -.N (no flag looks like a number)
+    or holds a space is a value."""
+    if tok[:1] != "-" or tok == "-":
+        return None, None
+    if tok in spec:
+        return tok, None
+    head, eq, value = tok.partition("=")
+    if eq and head in spec:
+        return head, value
+    if tok[1] != "-" and tok[:2] in spec:  # -hVALUE, -h's explicit value
+        return tok[:2], tok[2:]
+    if tok.startswith("--"):
+        hits = [flag for flag in spec if flag.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError(
+                f"ambiguous option: {tok} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok:
+        return None, None
+    return "", None
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The command in argv and its argument values, read in one pass as
+    argparse read them: --flag value or --flag=value, a unique prefix for
+    a flag, the last of repeated values (each one for a list flag),
+    positionals anywhere among the flags, and every token after the
+    first -- a positional.  A rejected argv prints the usage and the
+    error to stderr and exits 64; -h or --help prints the help and exits
+    0."""
+    command, values, extra, ended, filled, i = None, {}, [], False, False, 0
+    spec = {**_HELP, "command": ("command", tuple(COMMANDS), _REQUIRED, "")}
+    slots = ["command"]
+    try:
+        while i < len(argv):
+            tok, i = argv[i], i + 1
+            if tok == "--" and not ended:
+                ended = True
+                # as in argparse, a -- is the command when it comes first,
+                # and unrecognized unless a positional is read beside it
+                if command and (slots or filled):
+                    continue
+            flag, value = (None, None) if ended else _option(tok, spec)
+            # tok fills a positional of the command
+            filled = flag is None and command is not None and bool(slots)
+            if flag is None:
+                if not slots:
+                    extra.append(tok)
+                    continue
+                flag, value = slots.pop(0), tok
+            elif not flag:
+                extra.append(tok)
+                continue
+            elif spec[flag] is None:
+                if value is not None:
+                    raise UsageError(
+                        f"argument -h/--help: ignored explicit argument "
+                        f"{value!r}")
+                print(_help(command))
+                raise SystemExit(EXIT_OK)
+            elif value is None:
+                if (i == len(argv) or argv[i] == "--"
+                        or _option(argv[i], spec)[0] is not None):
+                    raise UsageError(f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            dest, kind, _, _ = spec[flag]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(
+                        f"argument {flag}: invalid int value: {value!r}"
+                    ) from None
+            elif type(kind) is tuple and value not in kind:
+                raise UsageError(
+                    f"argument {flag}: invalid choice: {value!r} (choose "
+                    f"from {', '.join(map(repr, kind))})")
+            if kind is list:
+                values.setdefault(dest, []).append(value)
+            else:
+                values[dest] = value
+            if dest == "command":
+                command, spec = value, {**_HELP, **COMMANDS[value][1]}
+                slots = [name for name in spec if name[0] != "-"]
+        missing = [name for name, s in spec.items()
+                   if s and s[2] is _REQUIRED and s[0] not in values]
+        if missing:
+            raise UsageError(
+                f"the following arguments are required: {', '.join(missing)}")
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    except UsageError as exc:
+        print(f"{_usage(command)}\nfactoridiv: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+    return SimpleNamespace(**{s[0]: s[2] for s in spec.values() if s} | values)
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(MAX_DIGITS)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise UsageError("--budget must be non-negative")

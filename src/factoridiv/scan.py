@@ -352,6 +352,7 @@ def _prime_roots(poly: IntPoly, start: int, stop: int, primes: list[int]):
     docstring)."""
     size = stop - start + 1
     lins, h = _split(poly)
+    lins = set(lins)  # a repeated factor's copies give one residue
     # a remainder of degree >= 3 is read at the first min(p, size) values
     # of the range while that is at most _CZ_FROM: p consecutive values
     # meet every residue class mod p once, a range shorter than p only the

@@ -1,9 +1,15 @@
 """Command line round trips and exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import pathlib
 import random
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -719,3 +725,271 @@ def test_table_zero_max(capsys):
     # --max 0 is no error: chebyshev prints T_0, the other tables nothing
     assert run(["table", "chebyshev", "--max", "0"], capsys) == (0, "0\t1\n", "")
     assert run(["table", "phi", "--max", "0"], capsys) == (0, "", "")
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def oracle_parser():
+    # the argparse parser the CLI read its arguments with before its flag
+    # table, kept as the reference the table's reader must agree with
+    parser = _OracleParser(prog="factoridiv", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    con = sub.add_parser("construct", help="build witness certificates")
+    con.add_argument(
+        "--class",
+        dest="family",
+        required=True,
+        choices=list(cli.FAMILIES),
+    )
+    con.add_argument("--poly", action="append",
+                     help="comma separated coefficients, ascending")
+    con.add_argument("--m", type=int, help="order for binomial/cyclotomic")
+    con.add_argument("--ms", help="comma separated Chebyshev orders")
+    con.add_argument("--s", help="comma separated base values")
+    con.add_argument("--count", type=int)
+    con.add_argument("--ratio", help="Mertens oversampling ratio, e.g. 9/8")
+    con.add_argument("--out", help="output file (default stdout)")
+
+    ver = sub.add_parser("verify", help="verify a certificate file")
+    ver.add_argument("file")
+    ver.add_argument("--budget", type=int, default=None)
+
+    sca = sub.add_parser("scan", help="scan for smooth polynomial values")
+    sca.add_argument("--poly", required=True)
+    sca.add_argument("--from", dest="start", type=int, required=True)
+    sca.add_argument("--to", dest="stop", type=int, required=True)
+    sca.add_argument("--theta", required=True, help="exponent as j/k")
+    sca.add_argument("--jobs", type=int, default=1)
+    sca.add_argument("--budget", type=int, default=None)
+    sca.add_argument("--out", help="output file (default stdout)")
+
+    tab = sub.add_parser("table", help="print polynomial tables")
+    tab.add_argument("kind", choices=["phi", "psi", "chebyshev"])
+    tab.add_argument("--max", type=int, required=True)
+
+    return parser
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def bench_argvs():
+    # every op of every input variant of the benchmark
+    spec = importlib.util.spec_from_file_location("bench_ops",
+                                                  ROOT / "bench" / "ops.py")
+    ops = importlib.util.module_from_spec(spec)
+    sys.modules["bench_ops"] = ops  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(ops)
+    finally:
+        del sys.modules["bench_ops"]
+    return [list(op.argv) for v in range(ops.VARIANTS)
+            for w in ops.WORKLOADS for op in ops.ops_for(w, v)]
+
+
+def readme_argvs():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("factoridiv ")]
+
+
+def ci_argvs():
+    # the scans of the workflow's check lines, and its other commands
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    checks = [line.split()[1:5] for line in text.splitlines()
+              if line.strip().startswith("check ") and "()" not in line]
+    scans = [["scan", f"--poly={poly}", "--from", lo, "--to", hi, "--theta", t]
+             for poly, lo, hi, t in checks]
+    assert len(scans) >= 10
+    return scans + [
+        ["scan", "--poly", "1,0,1", "--from", "10000000000000000", "--to",
+         "10000000000000010", "--theta", "1/2"],
+        ["scan", "--poly", "1,0,1", "--from", "2", "--to", "1" + "0" * 30,
+         "--theta", "1/2", "--budget", "1000000000000"],
+        ["scan", "--poly", "1,0,1", "--from", "2", "--to", "1400000",
+         "--theta", "14/25", "--jobs", "2"],
+        ["construct", "--class", "cubic", "--poly", "1,1,0,1", "--count", "24"],
+        ["verify", "cubic24.json"],
+        ["-h"],
+        ["scan", "--poly", "1,0,1"],
+        ["construct", "--class", "quadratic", "--poly", "1,0,1", "--seed", "1"],
+    ]
+
+
+GRAMMAR_ARGVS = [
+    # the = form, abbreviations, repeats (the last wins, --poly appends)
+    ["construct", "--class=cubic", "--poly=1,1,1,1", "--count=6"],
+    ["construct", "--cl", "quartic-cl", "--po", "1,1", "--poly", "1,1,1,1",
+     "--co", "3", "--o", "x.json"],
+    ["scan", "--po=-1,0,1", "--fr", "2", "--to", "9", "--th", "1/2", "--j",
+     "2", "--b", "7", "--ou=-"],
+    ["construct", "--class", "cubic", "--class", "quadratic", "--count", "1",
+     "--count", "2", "--poly", "1,0,1", "--out", "a", "--out", "b"],
+    ["construct", "--m", "2", "--ms", "3", "--s", "2", "--class", "chebyshev"],
+    ["construct", "--class", "binomial", "--m", "-5", "--s", "2",
+     "--ratio", "-.5"],
+    ["table", "--max", "3", "phi"],
+    ["table", "--max=-2", "psi"],
+    ["table", "chebyshev", "--ma", "-2"],
+    ["verify", "--budget", "5", "certs.json"],
+    ["verify", "--bu=0", "certs.json", "--budget", "+7"],
+    ["verify", "-", "--budget", " 9 "],
+    # -- ends the flags
+    ["verify", "--", "-certs.json"],
+    ["verify", "--budget", "9", "--", "--budget"],
+    ["table", "--max", "2", "--", "phi"],
+    # help, at the top and after a command
+    ["--help"], ["construct", "-h"], ["scan", "--poly", "1", "--he"],
+    ["table", "--help"], ["verify", "x", "-h", "--nonsense"],
+]
+
+ERROR_ARGVS = [
+    # required arguments missing
+    [], ["construct"], ["scan", "--poly", "1,0,1"], ["table"], ["verify"],
+    ["table", "phi"], ["construct", "--poly", "1,0,1"],
+    # unrecognized arguments
+    ["verify", "a.json", "b.json"], ["table", "phi", "--max", "1", "-x"],
+    ["--x", "table", "phi", "--max", "1"],
+    ["construct", "--class", "quadratic", "--seed=1", "--poly", "1,0,1"],
+    ["verify", "a.json", "--seed", "1"],
+    ["scan", "--poly", "1", "--from", "2", "--to", "3", "--theta", "1/2",
+     "--class", "cubic"],
+    # invalid int value
+    ["construct", "--class", "cubic", "--count", "x"],
+    ["scan", "--poly", "1", "--from", "1.5", "--to", "3", "--theta", "1/2"],
+    ["table", "phi", "--max", "-1.5"], ["verify", "a", "--budget", "1e3"],
+    # invalid choice
+    ["construct", "--class", "nonsense"], ["table", "tau", "--max", "1"],
+    ["nonsense"], ["construct", "--class=Cubic"],
+    # expected one argument
+    ["construct", "--class", "cubic", "--poly", "-1,0,1"], ["scan", "--poly"],
+    ["table", "phi", "--max", "--max", "3"],
+    ["scan", "--theta", "-1/2"],
+    # an ambiguous prefix
+    ["construct", "--c", "cubic"], ["scan", "--t", "9"], ["construct", "--c=3"],
+    # -h with a value
+    ["--help=3"], ["-hx"], ["table", "phi", "--max", "1", "-h3"],
+]
+
+# argparse releases after 3.11 changed how a -- beside the flags is read,
+# so these are pinned to the reading of argparse 3.11, not compared with
+# the running one: a -- read before the command is the command, and one
+# read where the command takes no positional is unrecognized
+DOUBLE_DASH = [
+    (["--", "table", "phi", "--max", "1"],
+     (64, "argument command: invalid choice: '--'")),
+    (["table", "phi", "--", "--max", "2"],
+     (64, "the following arguments are required: --max")),
+    (["construct", "--class", "cubic", "--"],
+     (64, "unrecognized arguments: --")),
+    (["construct", "--class", "cubic", "--", "x"],
+     (64, "unrecognized arguments: -- x")),
+    (["table", "phi", "--max", "1", "--"], (64, "unrecognized arguments: --")),
+    (["construct", "--class", "cubic", "--poly", "--", "1,1"],
+     (64, "argument --poly: expected one argument")),
+    (["verify", "--", "--", "x"], (64, "unrecognized arguments: x")),
+    (["verify", "--", "--"],
+     ("ok", {"command": "verify", "file": "--", "budget": None})),
+    (["verify", "x", "--"],
+     ("ok", {"command": "verify", "file": "x", "budget": None})),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """("ok", the parsed values), or (exit code, error message) with the
+    message cut before an invalid choice's list, whose quoting differs
+    between Python versions"""
+    try:
+        values = vars(parse(argv))
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        if exc.code == 0:
+            assert out.startswith("usage: factoridiv") and err == ""
+            return 0, ""
+        assert out == "" and err.startswith("usage: factoridiv")
+        return exc.code, err.splitlines()[-1].split(": error: ")[1].split(
+            " (choose from")[0]
+    assert capsys.readouterr() == ("", "")
+    return "ok", values
+
+
+def test_reader_agrees_with_argparse(capsys):
+    argvs = (bench_argvs() + readme_argvs() + ci_argvs() + GRAMMAR_ARGVS
+             + ERROR_ARGVS)
+    accepted = 0
+    for argv in argvs:
+        want = parse_outcome(oracle_parser().parse_args, argv, capsys)
+        got = parse_outcome(cli._parse, argv, capsys)
+        assert got == want, argv
+        accepted += want[0] == "ok"
+        if argv in ERROR_ARGVS:
+            assert want[0] == 64, argv
+    assert accepted >= 120
+
+
+def test_reader_reads_double_dash_as_argparse_311(capsys):
+    for argv, want in DOUBLE_DASH:
+        assert parse_outcome(cli._parse, argv, capsys) == want, argv
+
+
+def test_reader_writes_one_error_line(capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["construct", "--class", "quadratic", "--poly", "1,0,1",
+                  "--seed", "1"])
+    assert ei.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: factoridiv construct [-h] --class FAMILY")
+    assert error == "factoridiv: error: unrecognized arguments: --seed 1"
+
+
+# random argvs: a command and its required arguments, then flags (whole,
+# abbreviated, ambiguous and unknown) each with a value (some look like
+# flags or negative numbers), and a few stray tokens anywhere; no --, whose
+# reading differs between argparse releases (DOUBLE_DASH)
+REQUIRED_ARGS = {
+    "construct": ["--class", "cubic"],
+    "verify": ["f.json"],
+    "scan": ["--poly", "1", "--from", "2", "--to", "3", "--theta", "1/2"],
+    "table": ["phi", "--max", "3"],
+    "x": [],
+}
+FLAGS = [
+    "--class", "--cl", "--c", "--class=cubic", "--poly", "--po=1,2", "--m",
+    "--ms", "--s", "--count", "--ratio", "--out", "--max", "--t", "--to",
+    "--theta", "--from", "--jobs", "--budget", "--seed", "-x",
+]
+VALUES = ["cubic", "phi", "1,0,1", "-1,0,1", "-5", "-.5", "3", "x", "1/2",
+          "-", "f.json"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    command=st.sampled_from(list(REQUIRED_ARGS)),
+    pairs=st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                   max_size=3),
+    strays=st.lists(st.tuples(st.integers(0, 12),
+                              st.sampled_from(FLAGS + VALUES)), max_size=2),
+)
+def test_random_argvs_parse_like_argparse(command, pairs, strays):
+    # acceptance and the values read; with several faults the two may
+    # name different ones first, so only the exit code is compared then
+    argv = [command, *REQUIRED_ARGS[command]]
+    argv += [tok for pair in pairs for tok in pair]
+    for at, tok in strays:
+        argv.insert(min(at, len(argv)), tok)
+
+    def outcome(parse):
+        try:
+            return "ok", vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert outcome(cli._parse) == outcome(oracle_parser().parse_args)

@@ -842,12 +842,13 @@ def test_closed_form_roots_match_brute_force(lins, quad, twice, p, lead_p):
 @pytest.mark.parametrize("coeffs, listed", [
     ((-1, 0, 0, 0, 1), False), ((1, 0, 1), False), ((-6, 0, 1), False),
     ((-7, 0, 1), False), ((-5, 0, 1), False), ((-4, 0, 1), False),
-    ((1, 1, 0, 1), True),
+    ((1, 1, 0, 1), True), ((1, 3, 3, 1), False),
 ])
 def test_linear_and_quadratic_factors_are_neither_listed_nor_split(
         coeffs, listed, monkeypatch):
     # x**4 - 1 = (x - 1)(x + 1)(x**2 + 1) and x**2 + c take their roots in
-    # closed form at every prime, above _CZ_FROM (t_cap = 1682) as below;
+    # closed form at every prime, above _CZ_FROM (t_cap = 1682) as below,
+    # and (x + 1)**3, whose three copies of x + 1 give x + 1's one root;
     # the irreducible cubic x**3 + x + 1 is still listed
     poly = IntPoly(coeffs)
     primes = sieve_primes(1_682)

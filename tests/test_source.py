@@ -150,11 +150,16 @@ def test_import_starts_no_pool_machinery():
 
 def test_import_loads_no_dataclasses():
     # every CLI call pays for the import; dataclasses would bring inspect,
-    # ast, dis and tokenize along.  -S keeps site's .pth imports out
+    # ast, dis and tokenize along.  argparse, with the gettext and locale
+    # it loads, cost about 3 ms a command, so a whole command loads none of
+    # them.  -S keeps site's .pth imports out
     script = (
         "import sys\n"
         "import factoridiv.cli\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "factoridiv.cli.main(['table', 'phi', '--max', '1'])\n"
+        "print(sorted(m for m in ('argparse', 'gettext', 'locale')\n"
+        "             if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(factoridiv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -163,7 +168,7 @@ def test_import_loads_no_dataclasses():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n1\t-1,1\n[]\n"
 
 
 def test_checking_modules_import_no_search_code():
