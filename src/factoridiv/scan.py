@@ -41,14 +41,16 @@ meets the range at most once; its n is found and its remaining exponent
 taken by exact division, once per scan.  Every value also gets v_p(c).
 
 Byte sums.  A unit is b/a bits, the finest that keeps every bound below
-within a byte (a/b is set from a bound on |f(n)| over the range).  Each
-window keeps two bytearrays, up and low, and every class adds to its n,
-with one C-level translate of a slice, the least up(p**w) and the
+within a byte (a/b is set from a bound on |f(n)| over the range).  The
+classes form one list in ascending p.  Each window keeps two bytearrays,
+up and low, and every class adds to its n the least up(p**w) and the
 greatest low(p**w) with 2**(b up) >= p**(a w) >= 2**(b low), saturating
-at 255.  So up[n] >= a/b log2 S and low[n] <= a/b log2 S, where S is the
-part of |f(n)| that the window's classes and the content count.  top[n]
-is set to p by the classes mod p; primes run in ascending order, so it
-ends at the largest.
+at 255: with one C-level translate of a slice if its modulus is below the
+window's length, else at the one n, if any, where the window meets it.
+So up[n] >= a/b log2 S and low[n] <= a/b log2 S, where S is the part of
+|f(n)| that the window's classes and the content count, whatever the
+window's width.  top[n] is set to p by the classes mod p; primes run in
+ascending order, so it ends at the largest.
 
 Windows.  A hit at n needs P+ <= t_n = floor(n**(j/k)), so the window
 [lo, hi] sieves only the classes of the primes up to P = t_hi =
@@ -418,12 +420,11 @@ def _node(g: IntPoly, dg: IntPoly, p: int, e: int, r: int):
 # The windows' shared part: the scale a/b of the byte sums, rise (see
 # _rise), the sieve primes, the content's share (up, low, P+) of every
 # value's sums, and the byte updates of each prime-power class as
-# (modulus, residue, up table, low table, p at level 1 else 0, p): slices
-# (modulus <= _WINDOW) and strides (above it, at most one n per window),
-# each in ascending order of p, so that a window takes a prefix of each.
-_Plan = namedtuple("_Plan", "a b rise primes up low top slices strides")
+# (modulus, residue, up table, low table, p), in ascending order of p, so
+# that a window takes a prefix.  A class is of level 1 iff modulus == p.
+_Plan = namedtuple("_Plan", "a b rise primes up low top classes")
 
-_BASE = itemgetter(5)  # the prime of a class
+_BASE = itemgetter(4)  # the prime of a class
 
 
 def _rise(poly: IntPoly) -> int:
@@ -441,7 +442,8 @@ def _lam(t: int, a: int) -> int:
     return ((t + 1) ** a).bit_length() - 1
 
 
-def _plan(poly: IntPoly, start: int, stop: int, primes: list[int]) -> _Plan:
+def _plan(poly: IntPoly, start: int, stop: int, primes: list[int],
+          rise: int) -> _Plan:
     """The classes of [start, stop] and the scale of its byte sums."""
     size = stop - start + 1
     # an upper bound on |f(n)| fixes the scale: a/b units per bit, the
@@ -462,7 +464,7 @@ def _plan(poly: IntPoly, start: int, stop: int, primes: list[int]) -> _Plan:
 
     up = low = 0
     top = 1
-    slices, strides = [], []
+    classes = []
     if poly.coeffs:
         content, g = poly.content_split()
         for p in primes:
@@ -480,14 +482,12 @@ def _plan(poly: IntPoly, start: int, stop: int, primes: list[int]) -> _Plan:
                     n = start + (r - start) % m
                     if n <= stop and (v := g.evaluate(n)):
                         w = _valuation(v, p) - base
-                        strides.append(
-                            (m, r, *tables(p, w), p if e == 1 else 0, p))
+                        classes.append((m, r, *tables(p, w), p))
                     continue
                 mu, ts = _node(g, dg, p, e, r)
-                (slices if m <= _WINDOW else strides).append(
-                    (m, r, *tables(p, mu - base), p if e == 1 else 0, p))
+                classes.append((m, r, *tables(p, mu - base), p))
                 stack += [(e + 1, r + t * m, mu) for t in ts]
-    return _Plan(a, b, _rise(poly), primes, up, low, top, slices, strides)
+    return _Plan(a, b, rise, primes, up, low, top, classes)
 
 
 def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
@@ -499,20 +499,18 @@ def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
     up = bytearray([plan.up]) * size
     low = bytearray([plan.low]) * size
     top = [1] * size
-    for m, r, add_up, add_low, p, _ in islice(
-            plan.slices, bisect_right(plan.slices, t_hi, key=_BASE)):
+    for m, r, add_up, add_low, p in islice(
+            plan.classes, bisect_right(plan.classes, t_hi, key=_BASE)):
         i = (r - lo) % m
-        up[i::m] = up[i::m].translate(add_up)
-        low[i::m] = low[i::m].translate(add_low)
-        if p:
-            top[i::m] = [p] * len(range(i, size, m))
-    for m, r, add_up, add_low, p, _ in islice(
-            plan.strides, bisect_right(plan.strides, t_hi, key=_BASE)):
-        i = (r - lo) % m
-        if i < size:
+        if m < size:
+            up[i::m] = up[i::m].translate(add_up)
+            low[i::m] = low[i::m].translate(add_low)
+            if m == p:
+                top[i::m] = [p] * len(range(i, size, m))
+        elif i < size:  # the window meets the class at most once
             up[i] = add_up[up[i]]
             low[i] = add_low[low[i]]
-            if p:
+            if m == p:
                 top[i] = p
     a, b = plan.a, plan.b
     if lo < plan.rise:
@@ -609,7 +607,8 @@ def scan_range(
     windows = [(lo, min(lo + _WINDOW, cut) - 1)
                for lo in range(start, cut, _WINDOW)]
     jobs = min(jobs, os.cpu_count() or 1, len(windows) // _POOL_WINDOWS)
-    plan = _plan(poly, start, cut - 1, primes) if windows else None
+    rise = _rise(poly)
+    plan = _plan(poly, start, cut - 1, primes, rise) if windows else None
     sieve = partial(_sieve_window, poly, plan, j, k)
     if jobs > 1:
         # imported here: every CLI call would pay for the import otherwise
@@ -624,7 +623,6 @@ def scan_range(
         batches = map(sieve, windows)
     records = [rec for batch in batches for rec in batch]
     tail = []  # the vacuous hits among the unresolved values
-    rise = _rise(poly)
     for n in range(cut, stop + 1):
         value = poly.evaluate(n)
         if -1 <= value <= 1:

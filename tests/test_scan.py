@@ -242,7 +242,7 @@ def examples(cases):
     def wrap(test):
         for coeffs, start, length, theta in reversed(cases):
             test = example(coeffs=coeffs, start=start, length=length,
-                           theta=theta)(test)
+                           theta=theta, window=64)(test)
         return test
     return wrap
 
@@ -253,14 +253,16 @@ def examples(cases):
     start=st.integers(2, 30),
     length=st.integers(0, 600),
     theta=st.sampled_from(THETAS),
+    window=st.integers(1, 700),
 )
 @examples(ORACLE_EXAMPLES)
-def test_scan_matches_factorization_oracle(coeffs, start, length, theta):
+def test_scan_matches_factorization_oracle(coeffs, start, length, theta,
+                                           window):
     # degree 0-4 (and 64), content > 1, reducible and not squarefree, zero
-    # and negative values; 64-value windows, so the ranges span windows and
-    # prime powers well below and above the window length
+    # and negative values; windows of 1 to 700 values, so the ranges span
+    # windows and prime powers well below and above the window length
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "_WINDOW", 64)
+        mp.setattr(scan, "_WINDOW", window)
         check_against_oracle(coeffs, start, length, theta)
 
 
@@ -338,6 +340,34 @@ def test_pinned_digests(coeffs, stop, theta, hits, least, sha, jobs,
     records, summary = scan_range(IntPoly(coeffs), 2, stop, theta, jobs=jobs)
     assert summary == (stop - 1, hits, 0, least)
     assert digest(records) == sha
+
+
+# one plan, sieved in windows of each width up to the whole range, gives
+# scan_range's records: the widths put class moduli on both sides of the
+# window length, where a class is marked by a slice or at its one n
+WIDTH_CASES = [
+    ((-1, 0, 0, 0, 1), 200_000, Fraction(3, 4)),
+    ((1, 2, 1), 100_000, Fraction(3, 4)),
+    ((6, 6, 0, 6), 30_000, Fraction(2, 3)),
+]
+
+
+@pytest.mark.parametrize("coeffs, stop, theta", WIDTH_CASES,
+                         ids=["x4-1", "(x+1)^2", "cubic"])
+def test_every_window_width_sieves_the_same_records(coeffs, stop, theta):
+    poly = IntPoly(coeffs)
+    j, k = theta.numerator, theta.denominator
+    want = scan_range(poly, 2, stop, theta)[0]
+    primes = sieve_primes(scan._floor_root(stop, j, k))
+    plan = scan._plan(poly, 2, stop, primes, scan._rise(poly))
+    for width in (1, 63, 64, 4_095, 4_096, 4_097, 10_007, 65_536, stop - 1):
+        # one-value windows on every 97th n only: each costs a pass over
+        # the classes, and there are up to 2 * 10**5 of them
+        los = range(2, stop + 1, 97 if width == 1 else width)
+        got = [rec for lo in los for rec in scan._sieve_window(
+            poly, plan, j, k, (lo, min(lo + width - 1, stop)))]
+        assert got == [rec for rec in want
+                       if width > 1 or (rec.n - 2) % 97 == 0], width
 
 
 def test_pow_cmp_large_exponents_are_fast():
