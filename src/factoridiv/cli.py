@@ -29,7 +29,7 @@ from .construct import (
 )
 from .intpoly import IntPoly
 from .numtheory import DEFAULT_FACTOR_BUDGET
-from .scan import _POOL_WINDOWS, _WINDOW, record_json, scan_range
+from .scan import _POOL_VALUES, record_json, scan_range
 from .specialpoly import chebyshev_terms, cyclotomic, psi
 from .verify import verify
 
@@ -255,9 +255,9 @@ COMMANDS = {
         "--to": ("stop", int, _REQUIRED, "last n"),
         "--theta": ("theta", str, _REQUIRED, "exponent as j/k"),
         "--jobs": ("jobs", int, 1, "worker processes that sieve runs of "
-                   f"{_WINDOW}-value windows; at most the CPU count and one "
-                   f"per {_POOL_WINDOWS} windows, so a range under "
-                   f"{2 * _POOL_WINDOWS} windows runs in-process"),
+                   "windows; at most the CPU count and one per "
+                   f"{_POOL_VALUES} values, so a range under "
+                   f"{2 * _POOL_VALUES} values runs in-process"),
         "--budget": ("budget", int, None, "cap on the sieve primes per "
                      "value; values that need more are counted unresolved "
                      "(default: 5000000)"),

@@ -384,6 +384,24 @@ def _pow_cmp(a: int, k: int, b: int, j: int) -> int:
     return (d > 0) - (d < 0)
 
 
+def _log_ratio_e4(a, b) -> int | None:
+    """round(10**4 ln a / ln b) for a >= 1, b >= 2, from floats, or None
+    near a tie: ints, or integral Decimals under _LOG_CONTEXT.  Each _ln
+    is within a relative 2**-51 of the true value; the quotient and the
+    product by 10**4 (an exact float) add 2**-53 each.  So x is within
+    1.2e-15 * x of X = 10**4 * ln a / ln b, and log_ratio's 50-digit
+    quotient within about 1e-48 * X of it.  If x is farther than
+    1e-9 * (1 + x) from the half-integer k + 1/2 (k = floor(x), so x - k
+    is exact), X and the 50-digit quotient lie on the same side of it, and
+    both round to the integer nearest x.  Every x near a tie, and every
+    x >= 5e8 (where the band is wider than 1/2), gives None."""
+    x = _ln(a) / _ln(b) * 10**4
+    k = math.floor(x)
+    if abs(x - k - 0.5) > 1e-9 * (1 + x):
+        return k + (x - k > 0.5)
+    return None
+
+
 def log_ratio(a, b) -> Decimal:
     """log(a)/log(b) for integers a >= 1, b >= 2, given as ints or as
     integral Decimals, quantized to four decimal places (banker's
@@ -391,19 +409,9 @@ def log_ratio(a, b) -> Decimal:
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
     with localcontext(_LOG_CONTEXT):
-        # Fast path.  Each _ln is within a relative 2**-51 of the true
-        # value; the quotient and the product by 10**4 (an exact float) add
-        # 2**-53 each.  So x is within 1.2e-15 * x of
-        # X = 10**4 * ln a / ln b, and the 50-digit quotient below within
-        # about 1e-48 * X of it.  If x is farther than 1e-9 * (1 + x) from
-        # the half-integer k + 1/2 (k = floor(x), so x - k is exact), X and
-        # the 50-digit quotient lie on the same side of it, and both round
-        # to the integer nearest x.  Every x near a tie, and every x >= 5e8
-        # (where the band is wider than 1/2), takes the exact body below.
-        x = _ln(a) / _ln(b) * 10**4
-        k = math.floor(x)
-        if abs(x - k - 0.5) > 1e-9 * (1 + x):
-            return Decimal(k + (x - k > 0.5)).scaleb(-4)
+        k = _log_ratio_e4(a, b)
+        if k is not None:
+            return Decimal(k).scaleb(-4)
         # Decimal.ln hardly slows with the size of its argument (under a
         # millisecond at 2 * 10**6 digits); an int comes across by
         # decimal_from_int, as Decimal(int) is quadratic on 3.10 and 3.11

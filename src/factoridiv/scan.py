@@ -52,9 +52,12 @@ So up[n] >= a/b log2 S and low[n] <= a/b log2 S, where S is the part of
 window's width.  top[n] is set to p by the classes mod p; primes run in
 ascending order, so it ends at the largest.
 
-Windows.  A hit at n needs P+ <= t_n = floor(n**(j/k)), so the window
-[lo, hi] sieves only the classes of the primes up to P = t_hi =
-floor(hi**(j/k)): a value with a prime factor above P is no hit in it.
+Windows.  A window is as wide as the largest power of two <= lo, held
+within [_WINDOW, _WINDOW_MAX]: it visits its classes once for up to lo
+values, and from lo >= _WINDOW on its hi is below 2 lo.  A hit at n
+needs P+ <= t_n = floor(n**(j/k)), so the window [lo, hi] sieves only
+the classes of the primes up to P = t_hi = floor(hi**(j/k)): a value
+with a prime factor above P is no hit in it.
 So S holds every prime up to P to its full exponent, and a content prime
 above P to at most its full exponent.  With B the bit length of
 |f(n)| >= 2:
@@ -80,10 +83,10 @@ only P+ in [t_lo, t_hi] calls _pow_cmp.  Every other value has a prime
 factor above P >= t_n, so P+**k > n**j.  No value is divided per hit,
 none is misclassified, and no per-value root is taken.
 
-Values.  The candidate bound of the shortest value in a window admits
-every candidate in it.  For f of degree d >= 1 with coefficients a_i,
-rise = 2 max_i 2**ceil(e_i / i), with e_i = max(bits(a_(d-i)) - bits(a_d)
-+ 1, 0) for i = 1..d, exceeds every real root of f and of f': 2**e_i >
+Values.  One bound, from the shortest value in a window, admits every
+candidate in it.  For f of degree d >= 1 with coefficients a_i, rise =
+2 max_i 2**ceil(e_i / i), with e_i = max(bits(a_(d-i)) - bits(a_d) + 1,
+0) for i = 1..d, exceeds every real root of f and of f': 2**e_i >
 |a_(d-i) / a_d|, so by Fujiwara's bound (Tohoku Math. J. 10, 1916) every
 complex root z of f has |z| <= 2 max_i |a_(d-i) / a_d|**(1/i) < rise, and
 by Gauss-Lucas the roots of f' lie in their convex hull.  On [rise, oo)
@@ -91,7 +94,12 @@ neither f nor f' vanishes, so both have the sign of a_d, f f' > 0 and
 |f| increases (for d = 0, rise = 0 and |f| is constant).  A window with
 lo >= rise takes the bound from |f(lo)| and evaluates f by Horner at its
 candidates only; a window below rise computes all its values (_values)
-and takes their least bit length.
+and takes their least bit length.  From rise on bit lengths do not
+decrease, so a window that the shortest value's bound leaves with more
+than s bits(size) values, s the bits that f(hi) has over the shortest
+value, finds where each bit length starts by bisection (_bit_runs) and
+gives each run its own bound: from rise on that is the candidate test
+itself, and the bisection costs fewer evaluations than it saves.
 
 A value with |f(n)| <= 1, f(n) = 0 included, has no prime factors at all:
 it is a vacuous hit with P+ = 1 and exponent 0.0000.
@@ -114,10 +122,12 @@ above _SIEVE_CAP raises ValueError before anything is allocated.
 jobs > 1 deals the windows to worker processes, one contiguous run of
 windows per worker.  The classes are found once, in the calling
 process, and the records come back in window order, so the output does
-not depend on jobs.  jobs is clamped to the CPU count and so that each
-worker gets at least _POOL_WINDOWS windows, below which a pool costs
-more than it saves: a range of fewer than 2 * _POOL_WINDOWS windows is
-sieved in-process whatever jobs is.
+not depend on jobs.  jobs is clamped to the CPU count, the window count
+and so that each worker gets at least _POOL_VALUES values, below which a
+pool costs more than it saves: a range of fewer than 2 * _POOL_VALUES
+values to sieve is sieved in-process whatever jobs is.  The windows widen
+along the range, so the workers' runs hold equal window counts but not
+equal value counts.
 """
 
 from __future__ import annotations
@@ -129,11 +139,17 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, islice, pairwise, repeat
 from operator import itemgetter
 
 from .intpoly import IntPoly
-from .numtheory import _pow_cmp, decimal_log_ratio, divisors, sieve_primes
+from .numtheory import (
+    _log_ratio_e4,
+    _pow_cmp,
+    decimal_log_ratio,
+    divisors,
+    sieve_primes,
+)
 
 __all__ = [
     "ScanRecord",
@@ -142,17 +158,22 @@ __all__ = [
     "record_json",
 ]
 
-# values per sieve window: small enough to keep memory flat, large enough
-# that the per-window cost of visiting every class stays small
+# the least and the greatest values per sieve window.  A window is as wide
+# as the largest power of two <= its first n, held within these: a wide
+# window visits every class once for many values, one below 2 lo keeps
+# its values' t and bit lengths close, and the cap keeps memory flat, two
+# bytearrays and a list of 65 536 entries per window
 _WINDOW = 1 << 12
+_WINDOW_MAX = 1 << 16
 
-# the fewest windows per worker process.  Below it starting the pool and
-# pickling the records cost more than the split sieve saves.  On 2 CPUs,
-# for x**2 + 1 at theta = 14/25 (the cheapest windows), two workers beat
-# one in every paired CLI run from 160 windows each up (20 of 20 pairs at
-# 160-192); from 96 to 144 windows each the pool won 17 of 26 pairs, with
-# the host's load, and at 32-64 windows each 1 of 8
-_POOL_WINDOWS = 160
+# the fewest values per worker process, 160 windows of 4096.  Below it
+# starting the pool and pickling the records cost more than the split
+# sieve saves.  On 2 CPUs, for x**2 + 1 at theta = 14/25 (the cheapest
+# values), with 4096-value windows, two workers beat one in every paired
+# CLI run from 160 windows each up (20 of 20 pairs at 160-192); from 96 to
+# 144 windows each the pool won 17 of 26 pairs, with the host's load, and
+# at 32-64 windows each 1 of 8
+_POOL_VALUES = 655_360
 
 # the roots mod p of a remainder of degree >= 3 (_split) are listed from
 # the values of the range while min(p, range length) is at most this,
@@ -490,6 +511,48 @@ def _plan(poly: IntPoly, start: int, stop: int, primes: list[int],
     return _Plan(a, b, rise, primes, up, low, top, classes)
 
 
+@cache
+def _at_least(least: int) -> bytes:
+    """The translate table of x -> [x >= least], for 0 <= least <= 255."""
+    return bytes(least) + b"\x01" * (256 - least)
+
+
+def _bit_runs(poly: IntPoly, lo: int, hi: int, rise: int, values):
+    """[(i, B), ...] in ascending i from i = 0, one per run of [lo, hi]: B
+    is the least bit length of |f(n)| for n = lo + i up to the next run.
+    From rise on |f| increases, so bit lengths do not decrease, and each
+    run is one bit length, whose start is found by bisection; below rise
+    one run takes the least of all.  values is f on [lo, hi], computed
+    whenever lo < rise, or None."""
+    size = hi - lo + 1
+
+    def bits(i):
+        return (poly.evaluate(lo + i) if values is None
+                else values[i]).bit_length()
+
+    i = max(min(rise - lo, size), 0)
+    runs = [(0, min(map(int.bit_length, values[:i])))] if i else []
+    while i < size:
+        runs.append((i, bits(i)))
+        last, i = i, size  # bits(last) is the run's, bits(i) is longer
+        while i - last > 1:
+            mid = (last + i) // 2
+            if bits(mid) > runs[-1][1]:
+                i = mid
+            else:
+                last = mid
+    return runs
+
+
+def _exponent(p: int, n: int) -> str:
+    """str(log_ratio(p, n)): four decimals from the float quotient, the
+    50-digit one only near a tie."""
+    k = _log_ratio_e4(p, n)
+    if k is None:
+        return str(decimal_log_ratio(p, n))
+    return f"{k // 10000}.{k % 10000:04d}"
+
+
 def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
     """The hits among n in window = (lo, hi), in order, as ScanRecords."""
     lo, hi = window
@@ -513,6 +576,10 @@ def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
             if m == p:
                 top[i] = p
     a, b = plan.a, plan.b
+
+    def at_least(bits):  # the candidate test of a value of these bits
+        return _at_least(-(-a * max(bits - 1, 0) // b))
+
     if lo < plan.rise:
         values = _values(poly, lo, hi)
         shortest = min(map(int.bit_length, values))
@@ -520,12 +587,20 @@ def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
         values = None
         shortest = poly.evaluate(lo).bit_length()
     # the candidate bound of the shortest value admits every candidate
-    least = -(-a * max(shortest - 1, 0) // b)
+    cand = up.translate(at_least(shortest))
+    if hi >= plan.rise:
+        # where that bound admits more values than finding the runs of the
+        # span bit lengths costs evaluations, each run takes its own bound
+        span = (poly.evaluate(hi) if values is None
+                else values[-1]).bit_length() - shortest
+        if span and cand.count(1) > span * size.bit_length():
+            runs = _bit_runs(poly, lo, hi, plan.rise, values)
+            for (i, bits), (end, _) in pairwise(runs + [(size, 0)]):
+                cand[i:end] = up[i:end].translate(at_least(bits))
     lam = _lam(t_hi, a)
     records = []
     mod = None  # the product of the primes up to t_hi, once needed
-    at_least = bytes(least) + b"\x01" * (256 - least)  # x -> [x >= least]
-    for i in compress(range(size), up.translate(at_least)):
+    for i in compress(range(size), cand):
         n = lo + i
         value = poly.evaluate(n) if values is None else values[i]
         bits = value.bit_length()
@@ -545,9 +620,7 @@ def _sieve_window(poly: IntPoly, plan: _Plan, j: int, k: int, window):
                 continue
         p_plus = max(top[i], plan.top)
         if p_plus < t_lo or p_plus <= t_hi and _pow_cmp(p_plus, k, n, j) < 0:
-            records.append(
-                ScanRecord(n, value, p_plus, str(decimal_log_ratio(p_plus, n)))
-            )
+            records.append(ScanRecord(n, value, p_plus, _exponent(p_plus, n)))
     return records
 
 
@@ -569,8 +642,8 @@ def scan_range(
     every value is resolved.
 
     jobs is the number of worker processes that sieve the windows; it is
-    clamped to the CPU count and to one worker per _POOL_WINDOWS windows,
-    and the result does not depend on it."""
+    clamped to the CPU count, the window count and one worker per
+    _POOL_VALUES values, and the result does not depend on it."""
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError("theta must be strictly between 0 and 1")
@@ -604,9 +677,15 @@ def scan_range(
         r = _floor_root(q, k, j)
         cut = max(start, r if _pow_cmp(r, j, q, k) == 0 else r + 1)
         del primes[division_budget:]
-    windows = [(lo, min(lo + _WINDOW, cut) - 1)
-               for lo in range(start, cut, _WINDOW)]
-    jobs = min(jobs, os.cpu_count() or 1, len(windows) // _POOL_WINDOWS)
+    windows = []
+    lo = start
+    while lo < cut:
+        # the largest power of two <= lo, within [_WINDOW, _WINDOW_MAX]
+        width = max(_WINDOW, min(1 << (lo.bit_length() - 1), _WINDOW_MAX))
+        windows.append((lo, min(lo + width, cut) - 1))
+        lo += width
+    jobs = min(jobs, os.cpu_count() or 1, len(windows),
+               (cut - start) // _POOL_VALUES)
     rise = _rise(poly)
     plan = _plan(poly, start, cut - 1, primes, rise) if windows else None
     sieve = partial(_sieve_window, poly, plan, j, k)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from factoridiv import modp, scan
 from factoridiv.intpoly import IntPoly
-from factoridiv.numtheory import decimal_log_ratio, sieve_primes
+from factoridiv.numtheory import decimal_log_ratio, log_ratio, sieve_primes
 from factoridiv.scan import (
     ScanRecord,
     record_json,
@@ -242,7 +242,7 @@ def examples(cases):
     def wrap(test):
         for coeffs, start, length, theta in reversed(cases):
             test = example(coeffs=coeffs, start=start, length=length,
-                           theta=theta, window=64)(test)
+                           theta=theta, window=64, grow=1)(test)
         return test
     return wrap
 
@@ -254,23 +254,27 @@ def examples(cases):
     length=st.integers(0, 600),
     theta=st.sampled_from(THETAS),
     window=st.integers(1, 700),
+    grow=st.integers(0, 3),
 )
 @examples(ORACLE_EXAMPLES)
 def test_scan_matches_factorization_oracle(coeffs, start, length, theta,
-                                           window):
+                                           window, grow):
     # degree 0-4 (and 64), content > 1, reducible and not squarefree, zero
-    # and negative values; windows of 1 to 700 values, so the ranges span
-    # windows and prime powers well below and above the window length
+    # and negative values; windows of 1 to 700 values that grow up to
+    # 2**grow times that, so the ranges span windows and prime powers well
+    # below and above the window length, near 10**10 too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "_WINDOW", window)
+        mp.setattr(scan, "_WINDOW_MAX", window << grow)
         check_against_oracle(coeffs, start, length, theta)
 
 
 def decided_exactly(case, override, monkeypatch):
-    """check_against_oracle on 64-value windows, with every value a
-    candidate ("all") or every candidate decided by the exact test
+    """check_against_oracle on windows of 64 to 128 values, with every
+    value a candidate ("all") or every candidate decided by the exact test
     ("exact")."""
     monkeypatch.setattr(scan, "_WINDOW", 64)
+    monkeypatch.setattr(scan, "_WINDOW_MAX", 128)
     exact = []
     if override == "all":
         # up starts saturated, so every value is a candidate and low alone
@@ -336,7 +340,7 @@ PINNED = [
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_pinned_digests(coeffs, stop, theta, hits, least, sha, jobs,
                         monkeypatch):
-    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
+    monkeypatch.setattr(scan, "_POOL_VALUES", 1)
     records, summary = scan_range(IntPoly(coeffs), 2, stop, theta, jobs=jobs)
     assert summary == (stop - 1, hits, 0, least)
     assert digest(records) == sha
@@ -360,7 +364,8 @@ def test_every_window_width_sieves_the_same_records(coeffs, stop, theta):
     want = scan_range(poly, 2, stop, theta)[0]
     primes = sieve_primes(scan._floor_root(stop, j, k))
     plan = scan._plan(poly, 2, stop, primes, scan._rise(poly))
-    for width in (1, 63, 64, 4_095, 4_096, 4_097, 10_007, 65_536, stop - 1):
+    for width in (1, 63, 64, 4_095, 4_096, 4_097, 10_007, 65_535, 65_536,
+                  65_537, 131_072, stop - 1):
         # one-value windows on every 97th n only: each costs a pass over
         # the classes, and there are up to 2 * 10**5 of them
         los = range(2, stop + 1, 97 if width == 1 else width)
@@ -662,8 +667,19 @@ def fake_pool(monkeypatch):
     return FakePool.started
 
 
-# ranges of three to five sieve windows: a plain one, a division_budget
-# cut inside the fifth window, and a line whose values -1, 0, 1 at
+def cut_windows(poly, start, stop, theta, **kw):
+    """The windows scan_range sieves, in order, by a spy that sieves none
+    of them, and its summary."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "_sieve_window",
+                   lambda poly, plan, j, k, window: seen.append(window) or [])
+        summary = scan_range(poly, start, stop, theta, **kw)[1]
+    return seen, summary
+
+
+# ranges of three or four sieve windows: a plain one, a division_budget
+# cut inside the fourth window, and a line whose values -1, 0, 1 at
 # n = 8999, 9000, 9001 are vacuous hits inside the third window
 POOL_CASES = [
     (X2P1, 2, 12_000, THETA, {}),
@@ -676,16 +692,18 @@ POOL_CASES = [
                          ids=["plain", "budget-cut", "vacuous"])
 def test_jobs_give_identical_results(poly, start, stop, theta, cap, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
+    monkeypatch.setattr(scan, "_POOL_VALUES", 1)
     want = scan_range(poly, start, stop, theta, **cap)
     for jobs in (2, 3):
         assert scan_range(poly, start, stop, theta, jobs=jobs, **cap) == want
     records, summary = want
-    windows = -(-(stop - start + 1) // scan._WINDOW)
-    assert windows >= 3 and len(records) > 0
+    windows, _ = cut_windows(poly, start, stop, theta, **cap)
+    assert len(windows) >= 3 and len(records) > 0
     if cap:
+        # the cut falls inside the fourth window, of width 16 384
         cut = stop + 1 - summary.unresolved
-        assert start + 4 * scan._WINDOW < cut < start + 5 * scan._WINDOW
+        assert len(windows) == 4 and windows[-1] == (16_386, cut - 1)
+        assert cut < 16_386 + 16_384
     if poly.degree == 1:
         assert {r.n for r in records if r.p_plus == 1} == {8_999, 9_000, 9_001}
 
@@ -697,7 +715,8 @@ def test_jobs_give_identical_results(poly, start, stop, theta, cap, monkeypatch)
 ])
 def test_workers_are_clamped(cpus, jobs, workers, fake_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
+    # one worker per value: only the CPUs, the windows and jobs clamp
+    monkeypatch.setattr(scan, "_POOL_VALUES", 1)
     got = scan_range(X2P1, 2, 12_000, THETA, jobs=jobs)
     assert [pool.max_workers for pool in fake_pool] == [workers]
     # one contiguous run of windows per worker
@@ -726,7 +745,7 @@ def test_one_window_starts_no_pool(fake_pool, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_roots_found_once_per_scan(jobs, monkeypatch):
-    monkeypatch.setattr(scan, "_POOL_WINDOWS", 1)
+    monkeypatch.setattr(scan, "_POOL_VALUES", 1)
     calls = []
     real = scan._prime_roots
 
@@ -741,16 +760,134 @@ def test_roots_found_once_per_scan(jobs, monkeypatch):
 
 def test_range_under_break_even_starts_no_pool(fake_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(scan, "_WINDOW", 64)  # the real break-even, cheaper
-    # the last range that runs in-process, 2 * _POOL_WINDOWS - 1 windows
-    stop = 1 + (2 * scan._POOL_WINDOWS - 1) * scan._WINDOW
+    # the real break-even is 655 360 values per worker; a smaller one is
+    # cheaper to sieve around
+    monkeypatch.setattr(scan, "_POOL_VALUES", 10_240)
+    # the last range that runs in-process, 2 * _POOL_VALUES - 1 values
+    stop = 2 * scan._POOL_VALUES
     want = scan_range(X2P1, 2, stop, Fraction(1, 3))
     for jobs in (2, 10**9):
         assert scan_range(X2P1, 2, stop, Fraction(1, 3), jobs=jobs) == want
     assert fake_pool == []
-    # one window more gives two workers
-    scan_range(X2P1, 2, stop + scan._WINDOW, Fraction(1, 3), jobs=10**9)
+    # one value more gives two workers
+    scan_range(X2P1, 2, stop + 1, Fraction(1, 3), jobs=10**9)
     assert [pool.max_workers for pool in fake_pool] == [2]
+
+
+@pytest.mark.parametrize("coeffs, theta", [((1, 0, 1), Fraction(14, 25)),
+                                           ((-1, 0, 0, 0, 1), Fraction(3, 4))],
+                         ids=["x2+1", "x4-1"])
+def test_ci_pool_ranges_start_two_workers(coeffs, theta, fake_pool,
+                                          monkeypatch):
+    # the workflow's pool step scans [2, 1 400 000] at --jobs 2 on 2 CPUs:
+    # it must start two workers, not fall back to the in-process sieve
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(scan, "_sieve_window", lambda *args: [])
+    scan_range(IntPoly(coeffs), 2, 1_400_000, theta, jobs=2)
+    assert [pool.max_workers for pool in fake_pool] == [2]
+
+
+@pytest.mark.parametrize("coeffs, start, stop, theta, cap", [
+    ((1, 0, 1), 2, 10**7, Fraction(1, 3), {}),
+    ((1, 0, 1), 5_000, 70_000, Fraction(1, 3), {}),
+    ((1, 0, 1), 100_000, 100_000, Fraction(1, 3), {}),
+    ((1, 0, 1), 10**10, 10**10 + 300_000, Fraction(1, 4), {}),
+    ((1, 0, 1), 2, 10**6, Fraction(1, 2), {"division_budget": 100}),
+    ((-4, 1), 2, 9_000, Fraction(1, 3), {}),
+])
+def test_windows_tile_the_range_and_grow(coeffs, start, stop, theta, cap):
+    # the windows tile [start, cut - 1] in order, and each but the last is
+    # a power of two in [4096, 65536], never narrower than the one before
+    windows, summary = cut_windows(IntPoly(coeffs), start, stop, theta, **cap)
+    cut = stop + 1 - summary.unresolved
+    assert windows[0][0] == start and windows[-1][1] == cut - 1
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+    widths = [hi - lo + 1 for lo, hi in windows]
+    for width in widths[:-1]:
+        assert width & (width - 1) == 0 and 4_096 <= width <= 65_536
+    assert widths[:-1] == sorted(widths[:-1])
+    assert 0 < widths[-1] <= 65_536
+    if cap:
+        assert cut < stop + 1
+
+
+# the bench's three scan shapes: the candidate filter leaves the Python
+# loop at most this many values to visit
+VISIT_CASES = [
+    ((1, 0, 1), 100_000, Fraction(14, 25), 800),
+    ((6, 6, 0, 6), 30_000, Fraction(2, 3), 60),
+    ((-1, 0, 0, 0, 1), 20_000, Fraction(3, 4), 800),
+]
+
+
+@pytest.mark.parametrize("coeffs, stop, theta, most", VISIT_CASES,
+                         ids=["x2+1", "cubic", "x4-1"])
+def test_candidate_runs_leave_few_values_to_visit(coeffs, stop, theta, most,
+                                                  monkeypatch):
+    visited = []
+    real = scan.compress
+
+    def spy(data, selectors):
+        picked = list(real(data, selectors))
+        visited.extend(picked)
+        return picked
+
+    want = scan_range(IntPoly(coeffs), 2, stop, theta)
+    monkeypatch.setattr(scan, "compress", spy)
+    assert scan_range(IntPoly(coeffs), 2, stop, theta) == want
+    assert len(want[0]) <= len(visited) <= most
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-60, 60), min_size=1, max_size=6),
+    lo=st.integers(2, 400),
+    length=st.integers(0, 600),
+    computed=st.booleans(),
+)
+@example(coeffs=[0] * 64 + [1], lo=2, length=30, computed=False)
+@example(coeffs=[0, -3_000, 0, 1], lo=40, length=200, computed=True)
+@example(coeffs=[-2_000, 0, 1], lo=127, length=0, computed=False)
+@example(coeffs=[5], lo=2, length=10, computed=False)
+def test_bit_runs_match_brute_force(coeffs, lo, length, computed):
+    # windows below, across and above rise, of length 1 up, with f of
+    # degree 0-5 and x**64, whose bit length jumps by 38 from n = 2 to 3
+    poly = IntPoly(coeffs)
+    hi = lo + length
+    rise = scan._rise(poly)
+    bits = [abs(poly.evaluate(n)).bit_length() for n in range(lo, hi + 1)]
+    values = (scan._values(poly, lo, hi) if computed or lo < rise
+              else None)
+    runs = scan._bit_runs(poly, lo, hi, rise, values)
+    starts = [i for i, _ in runs]
+    assert starts[0] == 0 and starts == sorted(set(starts))
+    below = max(min(rise - lo, length + 1), 0)
+    if below:
+        assert runs[0] == (0, min(bits[:below]))
+    for (i, b), end in zip(runs, starts[1:] + [length + 1]):
+        assert b == min(bits[i:end])
+        if i >= below:
+            # one run per bit length from rise on
+            assert set(bits[i:end]) == {b} and (end > length or bits[end] > b)
+    assert (below in starts) == (below <= length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 10**40),
+    k=st.integers(0, 9_999),
+    d=st.integers(-2, 2),
+    p=st.integers(1, 10**12),
+    near=st.booleans(),
+)
+@example(n=2**20_000, k=0, d=0, p=2, near=False)  # 0.00005, a tie
+@example(n=239, k=0, d=0, p=13, near=False)
+def test_exponent_string_matches_log_ratio(n, k, d, p, near):
+    # random pairs, and p next to n**((k + 1/2) / 10**4), where the float
+    # quotient is near a tie and the 50-digit one decides
+    if near:
+        p = max(round(math.exp(math.log(n) * (k + 0.5) / 10**4)) + d, 1)
+    assert scan._exponent(p, n) == str(log_ratio(p, n))
 
 
 def listed_roots(poly, start, stop, primes):
